@@ -1,22 +1,25 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark of the epoch-detection engines.
+"""Wall-clock benchmark of the detector's candidates step.
 
 Captures the interval batches that real application runs hand to the
 barrier master (``repro.perf.capture_epochs``), then replays each batch
-through both detection engines — the reference O(i²p²) algorithm and the
-default fast path — timing the full ``run_epoch`` analysis and checking
-in the same breath that races, statistics, and virtual-time ledgers are
-identical.  Results go to ``BENCH_detection.json`` so the repository
-carries a perf trajectory across PRs.
+through the candidates step's oracle — the paper's naive pair search,
+overlap probes and check list — and through the production candidates
+step (window scan / inverted index, chosen per epoch), timing both and
+checking in the same breath that model comparisons, concurrent pairs,
+probe work and check lists are identical.  The whole detector's replay
+time (``time_detection``) is reported alongside.  Results go to
+``BENCH_detection.json`` so the repository carries a perf trajectory
+across PRs.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py           # full
     PYTHONPATH=src python benchmarks/bench_wallclock.py --quick   # CI smoke
 
-Exit status is non-zero if any engine pair disagrees, or if the stress
-workload's speedup falls below the target (``--min-speedup``, default
-3x; the acceptance bar for the fast path).
+Exit status is non-zero if the production step disagrees with the
+oracle on any epoch, or if the stress workload's speedup falls below the
+target (``--min-speedup``, default 3x).
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from typing import List
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app  # noqa: E402
-from repro.perf import capture_epochs, time_detection  # noqa: E402
+from repro.perf import (candidate_key, capture_epochs,  # noqa: E402
+                        oracle_candidates, production_candidates,
+                        time_detection, timeit_best)
 
 #: (app, nprocs, stress?) — the stress row is the acceptance gate: a
 #: barrier-synchronized workload at paper-scale epoch counts, where the
@@ -54,29 +59,33 @@ def bench_workload(app: str, nprocs: int, stress: bool,
     t0 = time.perf_counter()
     run, epochs = capture_epochs(spec, nprocs=nprocs)
     capture_s = time.perf_counter() - t0
-    page_size = run.config.page_size_words
-    ref = time_detection(epochs, page_size, nprocs, fast_path=False,
-                         cost_model=run.config.cost_model,
-                         repeats=repeats, label=f"{app}@{nprocs}:ref")
-    fast = time_detection(epochs, page_size, nprocs, fast_path=True,
-                          cost_model=run.config.cost_model,
-                          repeats=repeats, label=f"{app}@{nprocs}:fast")
-    equivalent = ref.fingerprint() == fast.fingerprint()
+    batches = [ep.intervals for ep in epochs]
+    label = f"{app}@{nprocs}"
+    oracle = timeit_best(lambda: [oracle_candidates(b) for b in batches],
+                         repeats=repeats, label=f"{label}:oracle")
+    production = timeit_best(
+        lambda: [production_candidates(b) for b in batches],
+        repeats=repeats, label=f"{label}:candidates")
+    equivalent = all(candidate_key(oracle_candidates(b))
+                     == candidate_key(production_candidates(b))
+                     for b in batches)
+    detection = time_detection(epochs, run.config.page_size_words, nprocs,
+                               cost_model=run.config.cost_model,
+                               repeats=repeats, label=f"{label}:detection")
     return {
         "app": app,
         "nprocs": nprocs,
         "stress": stress,
         "epochs": len(epochs),
-        "intervals": sum(len(e.intervals) for e in epochs),
-        "races": len(fast.races),
+        "intervals": sum(len(b) for b in batches),
+        "races": len(detection.races),
         "capture_s": capture_s,
-        "reference": ref.sample.as_dict(),
-        "fast_path": fast.sample.as_dict(),
-        "speedup": ref.sample.best / fast.sample.best,
+        "oracle": oracle.as_dict(),
+        "candidates": production.as_dict(),
+        "detection": detection.sample.as_dict(),
+        "speedup": oracle.best / production.best,
         "equivalent": equivalent,
-        "model_comparisons": fast.stats.interval_comparisons,
-        "actual_comparisons": {"reference": ref.actual_comparisons,
-                               "fast_path": fast.actual_comparisons},
+        "model_comparisons": detection.stats.interval_comparisons,
     }
 
 
@@ -85,11 +94,11 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="single small workload, fewer repeats (CI smoke)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="wall-clock samples per engine (default 5, "
+                        help="wall-clock samples per side (default 5, "
                              "quick 2)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="required fast-path speedup on the stress "
-                             "workload (default 3.0)")
+                        help="required candidates-step speedup over the "
+                             "oracle on the stress workload (default 3.0)")
     parser.add_argument("--output", default="BENCH_detection.json",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)
@@ -103,15 +112,16 @@ def main(argv: List[str] = None) -> int:
         rows.append(row)
         print(f"{app}@{nprocs}{' [stress]' if stress else '':9s} "
               f"epochs={row['epochs']:3d} intervals={row['intervals']:5d}  "
-              f"ref {row['reference']['best_s'] * 1e3:8.1f} ms  "
-              f"fast {row['fast_path']['best_s'] * 1e3:8.1f} ms  "
+              f"oracle {row['oracle']['best_s'] * 1e3:8.1f} ms  "
+              f"candidates {row['candidates']['best_s'] * 1e3:8.1f} ms  "
               f"speedup {row['speedup']:5.2f}x  "
+              f"detection {row['detection']['best_s'] * 1e3:8.1f} ms  "
               f"{'OK' if row['equivalent'] else 'MISMATCH'}")
 
     stress_rows = [r for r in rows if r["stress"]]
     stress_speedup = min(r["speedup"] for r in stress_rows)
     report = {
-        "benchmark": "epoch-detection wall clock",
+        "benchmark": "candidates-step wall clock vs oracle",
         "mode": "quick" if args.quick else "full",
         "repeats": repeats,
         "python": platform.python_version(),
@@ -122,26 +132,29 @@ def main(argv: List[str] = None) -> int:
         "all_equivalent": all(r["equivalent"] for r in rows),
     }
     # The scale-out benchmark (bench_detection_scaleout.py) owns the
-    # "scaleout" key of the shared file; carry it through a rewrite.
+    # "scaleout" and "coarse_filter" keys of the shared file; carry them
+    # through a rewrite.
     if os.path.exists(args.output):
         with open(args.output) as f:
             previous = json.load(f)
-        if "scaleout" in previous:
-            report["scaleout"] = previous["scaleout"]
+        for key in ("scaleout", "coarse_filter"):
+            if key in previous:
+                report[key] = previous[key]
     with open(args.output, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"\nwrote {args.output}")
 
     if not report["all_equivalent"]:
-        print("FAIL: engines disagree", file=sys.stderr)
+        print("FAIL: candidates step disagrees with the oracle",
+              file=sys.stderr)
         return 1
     if stress_speedup < args.min_speedup:
         print(f"FAIL: stress speedup {stress_speedup:.2f}x < "
               f"{args.min_speedup:.1f}x", file=sys.stderr)
         return 1
     print(f"PASS: stress speedup {stress_speedup:.2f}x "
-          f"(>= {args.min_speedup:.1f}x), all engines equivalent")
+          f"(>= {args.min_speedup:.1f}x), all epochs equivalent")
     return 0
 
 

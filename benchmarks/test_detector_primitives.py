@@ -72,7 +72,8 @@ def test_pair_search_pruned_epoch(benchmark):
     """The ordering-bypass variant on the same epoch population: same
     pairs, far fewer comparisons (the paper's 'many of the comparisons
     can be bypassed')."""
-    from repro.core.concurrency import find_concurrent_pairs_pruned
+    from repro.core.concurrency import (group_by_pid, iter_window_pairs,
+                                        process_blocks, scan_windows)
 
     rng = random.Random(42)
     intervals = []
@@ -91,7 +92,9 @@ def test_pair_search_pruned_epoch(benchmark):
 
     def search():
         stats = PairSearchStats()
-        count = sum(1 for _ in find_concurrent_pairs_pruned(intervals, stats))
+        by_pid = group_by_pid(intervals)
+        _work, windows = scan_windows(by_pid, process_blocks(by_pid), stats)
+        count = sum(1 for _ in iter_window_pairs(windows))
         return count, stats
 
     count, stats = benchmark(search)

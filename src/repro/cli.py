@@ -35,10 +35,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--first-races-only", action="store_true")
     p.add_argument("--paper-input", action="store_true",
                    help="use the paper's Table 1 input set (slow)")
-    p.add_argument("--reference-detector", action="store_true",
-                   help="run the paper's literal O(i²p²) detection "
-                        "algorithm instead of the fast path (identical "
-                        "output, slower wall-clock; see docs/performance.md)")
     p.add_argument("--reference-access-path", action="store_true",
                    help="run the paper's literal one-analysis-call-per-"
                         "word access instrumentation instead of the "
@@ -205,7 +201,6 @@ def cmd_run(args) -> int:
                        protocol=args.protocol, policy=args.policy,
                        seed=args.seed,
                        first_races_only=args.first_races_only,
-                       detector_fast_path=not args.reference_detector,
                        **_fault_overrides(args))
         result = None
     else:
@@ -213,7 +208,6 @@ def cmd_run(args) -> int:
                          protocol=args.protocol, policy=args.policy,
                          seed=args.seed,
                          first_races_only=args.first_races_only,
-                         detector_fast_path=not args.reference_detector,
                          **_fault_overrides(args))
         res = result.detected
     print(f"{args.app} on {nprocs} simulated processes "
@@ -337,7 +331,6 @@ def cmd_attribute(args) -> int:
     spec = get_app(args.app)
     cfg = spec.config(nprocs=args.procs, protocol=args.protocol,
                       policy=args.policy, seed=args.seed,
-                      detector_fast_path=not args.reference_detector,
                       **_fault_overrides(args))
     report = attribute_races(spec.func, spec.default_params, cfg)
     if not report.races:
@@ -370,7 +363,6 @@ def cmd_timeline(args) -> int:
     cfg = spec.config(nprocs=nprocs, protocol=args.protocol,
                       policy=args.policy, seed=args.seed,
                       track_access_trace=True,
-                      detector_fast_path=not args.reference_detector,
                       **_fault_overrides(args))
     system = CVM(cfg)
     result = system.run(spec.func, spec.default_params)

@@ -70,57 +70,64 @@ def find_concurrent_pairs(
 #: exactly ``qs[lo:hi]`` of process q.
 Window = Tuple[Interval, List[Interval], int, int]
 
+#: A process-pair block ``(p, q)``, ``p < q``: every cross-process pair
+#: of an epoch lies in exactly one block.
+Block = Tuple[int, int]
 
-def scan_windows(intervals: List[Interval],
-                 stats: PairSearchStats) -> Tuple[int, int, List[Window]]:
-    """Pair-search aggregates *without materializing the pairs*.
 
-    Returns ``(concurrent_pairs, probe_work, windows)`` where
-    ``probe_work`` is the sum of
-    :func:`repro.core.checklist.overlap_work` over every concurrent pair
-    — the quantity the detector charges for the page-overlap winnowing
-    step.  Because the concurrent partners of an interval within one
-    process form a contiguous window (same argument as
-    :func:`find_concurrent_pairs_pruned`), both aggregates collapse to
-    window arithmetic: the pair count is the window width and the probe
-    work is ``size(a) * width + prefix-sum of partner sizes``, so the
-    cost is O(i log i) bisection probes with *zero* per-pair Python
-    work.  The non-empty windows are returned so a caller that does
-    decide to enumerate (see :func:`iter_window_pairs`) pays no second
-    bisection pass.
-
-    ``stats`` receives the interval count, the actual bisection probes in
-    ``comparisons``, and the concurrent-pair count.
-    """
-    by_pid = group_by_pid(intervals)
-    stats.intervals += len(intervals)
+def process_blocks(by_pid: Dict[int, List[Interval]]) -> List[Block]:
+    """Every cross-process block of an epoch, in canonical order (the
+    naive enumeration order of :func:`find_concurrent_pairs`)."""
     pids = sorted(by_pid)
-    # Per-process prefix sums of notice-list sizes, for O(1) range sums.
-    prefix: Dict[int, List[int]] = {}
-    for pid in pids:
-        acc = [0]
-        for rec in by_pid[pid]:
-            acc.append(acc[-1] + len(rec.write_pages) + len(rec.read_pages))
-        prefix[pid] = acc
-    total_pairs = 0
-    probe_work = 0
+    return [(p, q) for i, p in enumerate(pids) for q in pids[i + 1:]]
+
+
+def scan_windows(by_pid: Dict[int, List[Interval]], blocks: List[Block],
+                 stats: PairSearchStats) -> Tuple[int, List[Window]]:
+    """Pair search over ``blocks`` *without materializing the pairs*
+    (the ordering-based bypass of §4 step 2: "synchronization and program
+    order allow many of the comparisons to be bypassed").
+
+    For a fixed interval ``a`` of process p, process q's intervals are
+    totally ordered, so the set concurrent with ``a`` is a *contiguous
+    window*: everything before it happened-before ``a`` (transitively,
+    because q's later intervals dominate its earlier ones) and everything
+    after it happened-after.  Both window edges are found by binary
+    search, so the comparisons per block drop from O(i^2) to
+    O(i log i), and the pair count collapses to window widths.
+
+    Returns ``(probe_work, windows)``: ``probe_work`` is the sum of
+    :func:`repro.core.checklist.overlap_work` over every concurrent pair
+    — ``size(a) * width + prefix-sum of partner sizes`` per window, zero
+    per-pair Python work — and the non-empty windows, which
+    :func:`iter_window_pairs` expands without a second bisection pass.
+    ``stats`` receives the bisection probes in ``comparisons`` and the
+    concurrent-pair count.
+    """
+    pairs = probe_work = 0
     windows: List[Window] = []
-    for i, p in enumerate(pids):
-        for q in pids[i + 1:]:
-            qs = by_pid[q]
-            pre = prefix[q]
-            for a in by_pid[p]:
-                lo = _first_not_before(a, qs, stats)
-                hi = _first_after(a, qs, stats)
-                if hi > lo:
-                    width = hi - lo
-                    total_pairs += width
-                    probe_work += (width * (len(a.write_pages)
-                                            + len(a.read_pages))
-                                   + pre[hi] - pre[lo])
-                    windows.append((a, qs, lo, hi))
-    stats.concurrent_pairs += total_pairs
-    return total_pairs, probe_work, windows
+    prefix: Dict[int, List[int]] = {}
+    for p, q in blocks:
+        qs = by_pid[q]
+        # Prefix sums of q's notice-list sizes, for O(1) range sums.
+        pre = prefix.get(q)
+        if pre is None:
+            pre = prefix[q] = [0]
+            for rec in qs:
+                pre.append(pre[-1] + len(rec.write_pages)
+                           + len(rec.read_pages))
+        for a in by_pid[p]:
+            lo = _first_not_before(a, qs, stats)
+            hi = _first_after(a, qs, stats)
+            if hi > lo:
+                width = hi - lo
+                pairs += width
+                probe_work += (width * (len(a.write_pages)
+                                        + len(a.read_pages))
+                               + pre[hi] - pre[lo])
+                windows.append((a, qs, lo, hi))
+    stats.concurrent_pairs += pairs
+    return probe_work, windows
 
 
 def iter_window_pairs(windows: List[Window]) -> Iterator[Tuple[Interval, Interval]]:
@@ -141,46 +148,16 @@ def model_comparison_count(intervals: List[Interval]) -> int:
     :func:`find_concurrent_pairs` checks every cross-process interval pair
     exactly once, so its comparison count is a pure function of the
     per-process interval counts: the sum over unordered process pairs
-    (p, q) of ``|I_p| * |I_q|``.  The fast-path detector runs the pruned
-    search for real but charges *this* figure to the master's virtual
-    clock, keeping the paper's cost model (Figure 3 "Intervals", Table 3)
-    bit-identical while the Python wall-clock drops.
+    (p, q) of ``|I_p| * |I_q|``.  The detector charges *this* figure to
+    virtual time whichever search it runs, keeping the paper's cost model
+    (Figure 3 "Intervals", Table 3) independent of the executed
+    algorithm.
     """
     sizes: Dict[int, int] = {}
     for rec in intervals:
         sizes[rec.pid] = sizes.get(rec.pid, 0) + 1
     total = len(intervals)
     return (total * total - sum(n * n for n in sizes.values())) // 2
-
-
-def find_concurrent_pairs_pruned(
-        intervals: List[Interval],
-        stats: PairSearchStats) -> Iterator[Tuple[Interval, Interval]]:
-    """Pair search with the ordering-based bypass the paper alludes to
-    ("synchronization and program order allow many of the comparisons to
-    be bypassed", §4 step 2).
-
-    For a fixed interval ``a`` of process p, process q's intervals are
-    totally ordered, so the set concurrent with ``a`` is a *contiguous
-    window*: everything before it happened-before ``a`` (transitively,
-    because q's later intervals dominate its earlier ones) and everything
-    after it happened-after.  Both window edges are found by binary
-    search, so the comparison count per process pair drops from
-    O(i^2) to O(i log i) — the yielded pairs are identical to
-    :func:`find_concurrent_pairs` (a property the tests verify).
-    """
-    by_pid = group_by_pid(intervals)
-    stats.intervals += len(intervals)
-    pids = sorted(by_pid)
-    for i, p in enumerate(pids):
-        for q in pids[i + 1:]:
-            qs = by_pid[q]
-            for a in by_pid[p]:
-                lo = _first_not_before(a, qs, stats)
-                hi = _first_after(a, qs, stats)
-                for b in qs[lo:hi]:
-                    stats.concurrent_pairs += 1
-                    yield (a, b)
 
 
 def _first_not_before(a: Interval, qs: List[Interval],

@@ -15,7 +15,18 @@ word bitmaps stayed with their creators).  It
 5. reports the race with the affected shared-segment address (resolved to a
    symbol), the interval indexes, and the epoch.
 
-Every step's work is charged to the master's virtual clock under the
+Every epoch goes through one pipeline over a *plan* that assigns the
+epoch's process-pair blocks to owners: the **candidates** step (steps 1–2
+plus the coarse-filter plan and the needed-bitmap set,
+:func:`find_candidates`), the bitmap round (step 3), the **resolve** step
+(step 4: dedup-free candidate reports per check entry) and the **commit**
+(step 5: cross-epoch dedup and every statistic).  Centralized detection
+(:meth:`RaceDetector.run_epoch`) is the one-owner plan — the coordinator
+owns every block; sharded detection (``--sharded-detection``) partitions
+the blocks over several owners and tree-reduces the candidates back to the
+same commit.
+
+Every step's work is charged to the owner's virtual clock under the
 ``INTERVALS`` or ``BITMAPS`` category so that Figure 3's overhead
 decomposition falls out of the ledger.
 """
@@ -30,11 +41,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.bitmap import Bitmap, digests_disjoint
 from repro.core.checklist import (CheckEntry, OverlapPage, bitmaps_needed,
                                   build_check_list, build_check_list_fast,
-                                  index_meetings, overlap_work, page_overlaps)
-from repro.core.concurrency import (PairSearchStats, _first_after,
-                                    _first_not_before, find_concurrent_pairs,
-                                    group_by_pid, iter_window_pairs,
-                                    model_comparison_count, scan_windows)
+                                  index_meetings, overlap_work)
+from repro.core.concurrency import (Block, PairSearchStats,
+                                    find_concurrent_pairs, group_by_pid,
+                                    iter_window_pairs, process_blocks,
+                                    scan_windows)
 from repro.core.report import (IntervalRef, RaceKind, RaceReport,
                                decode_report_key, encode_report_key)
 from repro.dsm.interval import Interval
@@ -46,14 +57,14 @@ from repro.sim.costmodel import CostCategory, CostModel
 
 
 #: Relative cost of one inverted-index (pair, page) meeting vs one
-#: reference notice-merge probe, for the fast path's per-epoch strategy
-#: choice.  Calibrated on the TSP (lock-dense) / Water (barrier) captures
-#: in ``benchmarks/bench_wallclock.py``.
+#: notice-merge probe, for the whole-epoch check-list strategy choice.
+#: Calibrated on the TSP (lock-dense) / Water (barrier) captures in
+#: ``benchmarks/bench_wallclock.py``.
 INDEX_MEETING_COST = 3
 
 #: Below this many modeled comparisons an epoch is too small for the
-#: window scan to pay for its own setup; the fast path just runs the
-#: reference pipeline (identical verdicts and charges by construction).
+#: window scan to pay for its own setup; the candidates step runs the
+#: naive pair search instead (identical output by construction).
 SMALL_EPOCH_COMPARISONS = 4096
 
 
@@ -156,13 +167,14 @@ class DetectorStats:
 
 
 # ---------------------------------------------------------------------- #
-# Sharded execution (``--sharded-detection``): the epoch's cross-process
-# pair blocks are partitioned over owner pids, each owner runs the pruned
-# pair search + bitmap comparison for its blocks on its own clock, and the
-# dedup-free candidate reports tree-reduce back to the coordinator, which
-# commits them through the *same* cross-epoch dedup state ``run_epoch``
-# uses — the emitted reports are byte-identical by construction.  The
-# orchestration (scatter, fetches, reduce, crash fallback) lives in
+# Plans.  An epoch's cross-process pair blocks are assigned to owner
+# pids; each owner runs candidates -> bitmap round -> resolve for its
+# blocks on its own clock, and the dedup-free candidate items commit on
+# the coordinator.  Blocks partition the pairs exactly, so per-owner
+# aggregates sum to the whole-epoch figures and the key-sorted item
+# streams merge into the whole-epoch check-list order: reports are
+# byte-identical however the blocks are assigned.  The sharded
+# orchestration (scatter, reduce, crash fallback) lives in
 # :mod:`repro.dsm.cvm`; everything here is pure detection logic.
 # ---------------------------------------------------------------------- #
 @dataclass
@@ -171,25 +183,19 @@ class DetectShard:
 
     owner: int
     #: Assigned (p, q) blocks, p < q, in canonical block order.
-    blocks: List[Tuple[int, int]] = field(default_factory=list)
+    blocks: List[Block] = field(default_factory=list)
     #: Naive comparison count of the assigned blocks (sum of
-    #: ``|I_p| * |I_q|``) — the shard's INTERVALS charge and the
+    #: ``|I_p| * |I_q|``) — the owner's INTERVALS charge and the
     #: load-balancing weight.
     model_comparisons: int = 0
 
 
 @dataclass
 class ShardPlan:
-    """Partition of one epoch's pair search over shard owners.
+    """Assignment of one epoch's pair blocks to owners."""
 
-    Blocks partition the cross-process pairs exactly, so per-shard
-    aggregates (model comparisons, concurrent pairs, probe work, check
-    entries, bitmap comparisons) sum to the centralized figures, and the
-    per-shard candidate streams merge — by canonical entry key — into the
-    centralized processing order.
-    """
-
-    #: Owner pids, coordinator first (the reduce root).
+    #: Owner pids, coordinator first (the reduce root).  A single owner
+    #: is centralized detection: it holds every block.
     owners: List[int]
     by_pid: Dict[int, List[Interval]]
     shards: Dict[int, DetectShard]
@@ -198,23 +204,187 @@ class ShardPlan:
     model_comparisons: int
     lost_present: bool
 
+    @property
+    def centralized(self) -> bool:
+        return len(self.owners) == 1
+
+
+def plan_blocks(intervals: List[Interval], owners: List[int]) -> ShardPlan:
+    """Assign the epoch's pair blocks to ``owners`` (coordinator first).
+
+    Assignment is greedy weight-balanced over the block weights
+    ``|I_p| * |I_q|``, restricted to owners that are an endpoint of the
+    block (they already hold half the records locally); blocks with no
+    live endpoint owner land on the coordinator, which holds every
+    record.  Deterministic: blocks are visited in canonical order and
+    ties break by owner rank.
+    """
+    by_pid = group_by_pid(intervals)
+    owner_rank = {pid: rank for rank, pid in enumerate(owners)}
+    load: Dict[int, int] = {pid: 0 for pid in owners}
+    shards = {pid: DetectShard(owner=pid) for pid in owners}
+    total = 0
+    for p, q in process_blocks(by_pid):
+        weight = len(by_pid[p]) * len(by_pid[q])
+        total += weight
+        candidates = [x for x in (p, q) if x in owner_rank]
+        if candidates:
+            owner = min(candidates, key=lambda x: (load[x], owner_rank[x]))
+        else:
+            owner = owners[0]
+        shards[owner].blocks.append((p, q))
+        shards[owner].model_comparisons += weight
+        load[owner] += weight
+    return ShardPlan(owners=list(owners), by_pid=by_pid, shards=shards,
+                     intervals=list(intervals), model_comparisons=total,
+                     lost_present=any(rec.lost for rec in intervals))
+
+
+@dataclass
+class Candidates:
+    """The candidates step's output for one owner's blocks."""
+
+    #: Modeled (naive) comparisons of the blocks — the INTERVALS charge.
+    comparisons: int
+    concurrent_pairs: int
+    #: Notice-merge probes of the page-overlap winnowing (INTERVALS).
+    probe_work: int
+    check_list: List[CheckEntry]
+    #: Per check entry: the overlap pages to intersect (the coarse
+    #: filter's survivors when it is on, else ``entry.pages``), or None
+    #: for an entry touching a crash-lost interval (unverifiable).
+    pages: List[Optional[List[OverlapPage]]]
+    #: Bitmaps the resolvable entries name: (pid, index, page, kind).
+    needed: Set[Tuple[int, int, int, str]]
+    granule_checks: int = 0
+    granule_hits: int = 0
+
+
+def find_candidates(plan: ShardPlan, shard: DetectShard,
+                    coarse_filter: bool) -> Candidates:
+    """Candidates step: pair search, check list, coarse-filter plan and
+    needed-bitmap set for ``shard``'s blocks.  Pure: no clock, no state.
+
+    Two strategies are chosen from the epoch itself; both give the
+    output of :func:`~repro.core.concurrency.find_concurrent_pairs` +
+    :func:`~repro.core.checklist.build_check_list` exactly.  When one
+    owner holds the whole epoch, a small epoch runs that naive search
+    outright (the window scan would not pay for its setup), and a large
+    one builds the check list from an inverted page index when page
+    meetings are cheaper than enumerating the scanned windows (barrier
+    workloads; lock workloads pile ordered intervals onto the same pages
+    and go the other way).  A shard of a partitioned epoch always scans
+    and enumerates its windows.
+    """
+    search = PairSearchStats()
+    whole = plan.centralized
+    if whole and shard.model_comparisons <= SMALL_EPOCH_COMPARISONS:
+        pairs = list(find_concurrent_pairs(plan.intervals, search))
+        probe_work = sum(overlap_work(a, b) for a, b in pairs)
+        check_list = build_check_list(pairs)
+    else:
+        probe_work, windows = scan_windows(plan.by_pid, shard.blocks, search)
+        if whole and (INDEX_MEETING_COST * index_meetings(plan.intervals)
+                      <= probe_work):
+            check_list = build_check_list_fast(plan.intervals)
+        else:
+            check_list = build_check_list(iter_window_pairs(windows))
+    cand = Candidates(comparisons=shard.model_comparisons,
+                      concurrent_pairs=search.concurrent_pairs,
+                      probe_work=probe_work, check_list=check_list,
+                      pages=[], needed=set())
+    # Crash degradation: an interval marked *lost* kept its page-level
+    # notices (they travelled on synchronization messages before the
+    # crash) but its word bitmaps died with the node, so it still takes
+    # part in the search and the check list — its entries just cannot be
+    # bitmap-resolved.  Two-level filter (first level): every other
+    # entry's combinations are pre-checked against the coarse digests
+    # that arrived piggy-backed on the interval records; digest-disjoint
+    # combinations are provably race-free and leave the fetch set *and*
+    # the comparison loop.
+    resolvable: List[CheckEntry] = []
+    for entry in check_list:
+        if plan.lost_present and (entry.a.lost or entry.b.lost):
+            cand.pages.append(None)
+            continue
+        pages = entry.pages
+        if coarse_filter:
+            pages, checks, hits = _filter_pages(entry)
+            cand.granule_checks += checks
+            cand.granule_hits += hits
+            entry = CheckEntry(entry.a, entry.b, pages)
+        cand.pages.append(pages)
+        resolvable.append(entry)
+    cand.needed = bitmaps_needed(resolvable)
+    return cand
+
+
+def _filter_pages(entry: CheckEntry) -> Tuple[List[OverlapPage], int, int]:
+    """Granule pre-check of one check entry: returns the surviving
+    overlap pages (combination flags cleared where the digests prove the
+    word bitmaps disjoint, pages with no surviving flag dropped) plus the
+    (checks, hits) counts for stats and cycle charging."""
+    a, b = entry.a, entry.b
+    out: List[OverlapPage] = []
+    checks = hits = 0
+    for ov in entry.pages:
+        ww = arbw = awbr = False
+        if ov.write_write:
+            checks += 1
+            if not digests_disjoint(a.digest(ov.page, "write"),
+                                    b.digest(ov.page, "write")):
+                ww = True
+                hits += 1
+        if ov.a_read_b_write:
+            checks += 1
+            if not digests_disjoint(a.digest(ov.page, "read"),
+                                    b.digest(ov.page, "write")):
+                arbw = True
+                hits += 1
+        if ov.a_write_b_read:
+            checks += 1
+            if not digests_disjoint(a.digest(ov.page, "write"),
+                                    b.digest(ov.page, "read")):
+                awbr = True
+                hits += 1
+        if ww or arbw or awbr:
+            out.append(OverlapPage(page=ov.page, write_write=ww,
+                                   a_read_b_write=arbw,
+                                   a_write_b_read=awbr))
+    return out, checks, hits
+
+
+def _combos(ov: OverlapPage) -> List[Tuple[str, str, RaceKind]]:
+    """The (a access, b access, kind) combinations an overlap page flags,
+    in the fixed order every item builder uses."""
+    combos = []
+    if ov.write_write:
+        combos.append(("write", "write", RaceKind.WRITE_WRITE))
+    if ov.a_read_b_write:
+        combos.append(("read", "write", RaceKind.READ_WRITE))
+    if ov.a_write_b_read:
+        combos.append(("write", "read", RaceKind.READ_WRITE))
+    return combos
+
 
 @dataclass
 class ShardItem:
     """One check entry's dedup-free candidate reports.
 
     ``key`` is the canonical check-entry key ``(a.pid, b.pid, a.index,
-    b.index)`` — unique across shards (an entry belongs to exactly one
-    block) — so a plain sorted merge of per-shard item lists reproduces
-    the centralized check-list order, and the commit step can replay the
-    cross-epoch dedup exactly as ``run_epoch`` would have.
+    b.index)`` — unique across owners (an entry belongs to exactly one
+    block) — so a plain sorted merge of per-owner item lists reproduces
+    the whole-epoch check-list order, and the commit replays the
+    cross-epoch dedup in that order.
     """
 
     key: Tuple[int, int, int, int]
-    #: "race" or "unverifiable" (crash-lost side).
+    #: "race" (word bitmaps intersected), "page" (page-granularity
+    #: fallback: a bitmap exchange failed) or "unverifiable" (crash-lost
+    #: side).
     kind: str
-    #: Candidate reports in centralized generation order, *not* deduped —
-    #: dedup against ``_seen_keys`` is the coordinator's commit step.
+    #: Candidate reports in generation order, *not* deduped — dedup
+    #: against ``_seen_keys`` is the commit's job.
     reports: List[RaceReport]
     #: Unverifiable-pair dedup key (``kind == "unverifiable"`` only).
     pair_key: Optional[Tuple] = None
@@ -222,27 +392,17 @@ class ShardItem:
 
 @dataclass
 class ShardResult:
-    """One shard's computation: candidate items plus additive counters."""
+    """One owner's pass: its candidates plus the resolve step's output."""
 
     owner: int
-    #: Modeled (naive) comparisons of the assigned blocks.
-    comparisons: int = 0
-    #: Bisection probes the pruned search actually performed.
-    probes: int = 0
-    concurrent_pairs: int = 0
-    check_entries: int = 0
+    candidates: Candidates
     bitmap_comparisons: int = 0
-    #: (pid, index) of intervals in >= 1 overlapping pair of this shard.
-    used: Set[Tuple[int, int]] = field(default_factory=set)
-    #: Bitmaps the shard's check entries name (global-set union at commit).
-    needed: Set[Tuple[int, int, int, str]] = field(default_factory=set)
-    #: Message/byte counts of the shard-local bitmap fetches.
+    #: Message/byte counts of the owner's bitmap fetches.
     fetch_messages: int = 0
     fetch_bytes: int = 0
-    #: Two-level filter counters for this shard's combinations.
-    granule_checks: int = 0
-    granule_hits: int = 0
-    pairs_filtered: int = 0
+    #: Owners whose bitmap exchange exhausted the reliable channel's
+    #: retry budget (centralized round only; the sharded round raises).
+    failed_owners: Set[int] = field(default_factory=set)
     #: Candidate items in canonical entry-key order.
     items: List[ShardItem] = field(default_factory=list)
 
@@ -254,7 +414,6 @@ class RaceDetector:
                  sizer: WireSizer, transport: Transport,
                  symbol_for, master_pid: int = 0,
                  first_races_only: bool = False,
-                 fast_path: bool = True,
                  coarse_filter: bool = False):
         self.page_size_words = page_size_words
         self.cost_model = cost_model
@@ -264,13 +423,6 @@ class RaceDetector:
         self.symbol_for = symbol_for
         self.master_pid = master_pid
         self.first_races_only = first_races_only
-        #: Execution engine selector.  True (default): pruned pair search +
-        #: inverted-index check list, with the naive algorithm's work
-        #: charged to virtual time analytically.  False: the paper's
-        #: literal O(i^2 p^2) reference algorithm.  Verdicts, stats and
-        #: ledgers are identical either way (the equivalence tests assert
-        #: this); only Python wall-clock differs.
-        self.fast_path = fast_path
         #: Two-level filter: pre-check every check-list combination
         #: against the coarse digests piggy-backed on the interval
         #: records, fetching and intersecting word bitmaps only on
@@ -280,10 +432,6 @@ class RaceDetector:
         #: detection runs; the bare constructor defaults off so direct
         #: detector use reproduces the paper's unfiltered pipeline.)
         self.coarse_filter = coarse_filter
-        #: Vector-clock probes the fast path actually performed (pruned
-        #: search), for diagnostics/benchmarks.  Deliberately *not* part of
-        #: DetectorStats: the model figure there stays the naive count.
-        self.actual_comparisons = 0
         self.stats = DetectorStats()
         self.races: List[RaceReport] = []
         #: ``verdict="unverifiable"`` entries (crash-lost metadata), kept
@@ -300,148 +448,15 @@ class RaceDetector:
     # ------------------------------------------------------------------ #
     def run_epoch(self, intervals: List[Interval], epoch: int,
                   master_clock: VirtualClock) -> List[RaceReport]:
-        """Analyze a closed epoch; returns the new race reports."""
-        self.stats.epochs_checked += 1
-        for rec in intervals:
-            self.stats.bitmaps_created += (len(rec.read_bitmaps)
-                                           + len(rec.write_bitmaps))
+        """Analyze a closed epoch; returns the new race reports.
 
-        # Steps 2+3: concurrent pairs (constant-time VC comparisons), then
-        # page-overlap winnowing into the check list.
-        #
-        # The fast path (default) never materializes the concurrent-pair
-        # set: the pair count and the overlap probe work are computed as
-        # window aggregates of the pruned O(i log i) search, and the check
-        # list comes straight from an inverted page->notices index, so the
-        # Python work is O(i log i + notices + output).  Virtual time is
-        # *decoupled* from that execution: the master clock is charged for
-        # the naive algorithm's comparison count (computed analytically)
-        # and the reference probe work, exactly as the reference engine
-        # charges them — ledgers, stats, and verdicts are bit-identical
-        # either way.
-        search = PairSearchStats()
-        model = model_comparison_count(intervals)
-        if self.fast_path and model > SMALL_EPOCH_COMPARISONS:
-            _pair_count, probe_work, windows = scan_windows(intervals, search)
-            self.actual_comparisons += search.comparisons
-            search.comparisons = model
-            # Adaptive check-list strategy (both produce identical
-            # entries): the inverted index wins when pages are shared by
-            # few intervals (barrier workloads); enumerating the scanned
-            # windows wins when many *ordered* intervals pile onto the
-            # same pages (lock workloads), where page overlap is a weak
-            # filter.  Meetings are costlier than merge probes (dict ops
-            # plus a concurrency test per candidate), hence the factor.
-            if INDEX_MEETING_COST * index_meetings(intervals) <= probe_work:
-                check_list = build_check_list_fast(intervals)
-            else:
-                check_list = build_check_list(iter_window_pairs(windows))
-        else:
-            pairs = list(find_concurrent_pairs(intervals, search))
-            self.actual_comparisons += search.comparisons
-            probe_work = sum(overlap_work(a, b) for a, b in pairs)
-            check_list = build_check_list(pairs)
-        self.stats.intervals_total += search.intervals
-        self.stats.interval_comparisons += search.comparisons
-        self.stats.concurrent_pairs += search.concurrent_pairs
-        master_clock.advance(
-            self.cost_model.interval_compare * max(1, search.comparisons),
-            CostCategory.INTERVALS)
-        master_clock.advance(
-            self.cost_model.page_overlap_check * probe_work,
-            CostCategory.INTERVALS)
-        self.stats.overlapping_pairs += len(check_list)
-        used: Set[Tuple[int, int]] = set()
-        for entry in check_list:
-            used.add((entry.a.pid, entry.a.index))
-            used.add((entry.b.pid, entry.b.index))
-        self.stats.intervals_used += len(used)
-
-        # Crash degradation: an interval marked *lost* kept its page-level
-        # notices (they travelled on synchronization messages before the
-        # crash) but its word bitmaps died with the node, so it still
-        # participates in the concurrency search and the check list — its
-        # entries just cannot be bitmap-resolved.  They are split off here
-        # and reported as explicit ``unverifiable`` entries in step 5.
-        lost_present = any(rec.lost for rec in intervals)
-        if lost_present:
-            resolvable = [e for e in check_list
-                          if not (e.a.lost or e.b.lost)]
-        else:
-            resolvable = check_list
-
-        # Two-level filter (first level): pre-check every combination of
-        # the resolvable entries against the coarse digests that arrived
-        # piggy-backed on the interval records.  Digest-disjoint
-        # combinations are provably race-free — they leave the fetch set
-        # *and* the comparison loop; only granule hits go on.
-        plan: Dict[int, Optional[List[OverlapPage]]] = {}
-        if self.coarse_filter:
-            effective: List[CheckEntry] = []
-            checks = hits = 0
-            for entry in resolvable:
-                pages, entry_checks, entry_hits = self._filter_pages(entry)
-                checks += entry_checks
-                hits += entry_hits
-                plan[id(entry)] = pages
-                if pages:
-                    effective.append(CheckEntry(entry.a, entry.b, pages))
-            self.stats.granule_checks += checks
-            self.stats.granule_hits += hits
-            self.stats.pairs_filtered += checks - hits
-            master_clock.advance(
-                self.cost_model.granule_check * checks,
-                CostCategory.COARSE_FILTER)
-            needed = bitmaps_needed(effective)
-        else:
-            needed = bitmaps_needed(resolvable)
-
-        # Step 4: the extra barrier round retrieving exactly the bitmaps
-        # the check list names.  On a lossy network an owner's exchange can
-        # exhaust its retry budget; those owners' bitmaps stay unavailable
-        # and the affected check entries degrade to page granularity below.
-        failed_owners = self._charge_bitmap_round(needed, master_clock)
-        if failed_owners:
-            fetched = sum(1 for pid, _idx, _page, _kind in needed
-                          if pid not in failed_owners)
-        else:
-            fetched = len(needed)
-        self.stats.bitmaps_fetched += fetched
-
-        # Step 5: bitmap comparison -> race reports.  Entries touching a
-        # lost interval go to the unverifiable side channel instead.
-        new_races: List[RaceReport] = []
-        new_unverifiable: List[RaceReport] = []
-        for entry in check_list:
-            if lost_present and (entry.a.lost or entry.b.lost):
-                new_unverifiable.extend(
-                    self._report_unverifiable(entry, epoch))
-                continue
-            new_races.extend(self._compare_entry(
-                entry, epoch, master_clock, failed_owners,
-                pages=plan.get(id(entry)) if self.coarse_filter else None))
-        self.unverifiable.extend(new_unverifiable)
-
-        self.stats.epoch_history.append(EpochSummary(
-            epoch=epoch, intervals=search.intervals,
-            comparisons=search.comparisons,
-            concurrent_pairs=search.concurrent_pairs,
-            check_list_entries=len(check_list),
-            bitmaps_fetched=fetched, races=len(new_races),
-            unverifiable=len(new_unverifiable)))
-
-        if self.first_races_only and new_races:
-            if self._first_race_epoch is None:
-                self._first_race_epoch = epoch
-            elif epoch > self._first_race_epoch:
-                # Races in a later epoch are necessarily affected by the
-                # earlier ones (a barrier orders the epochs), hence not
-                # "first" races (§6.4).
-                self.stats.races_suppressed_not_first += len(new_races)
-                return []
-        self.races.extend(new_races)
-        self.stats.races_found += len(new_races)
-        return new_races
+        The one-owner plan: the master owns every block, runs the
+        pipeline on ``master_clock`` and commits it directly."""
+        plan = plan_blocks(intervals, [self.master_pid])
+        res = self.compute_shard(plan.shards[self.master_pid], plan, epoch,
+                                 master_clock)
+        return self.commit_sharded(plan, [res], res.items, epoch,
+                                   master_clock)
 
     # ------------------------------------------------------------------ #
     # State migration (master failover).
@@ -471,14 +486,13 @@ class RaceDetector:
                 [list(a), list(b)]
                 for a, b in self._unverifiable_pair_keys),
             "first_race_epoch": self._first_race_epoch,
-            "actual_comparisons": self.actual_comparisons,
         }
 
     def restore_state(self, data: Dict[str, Any]) -> None:
         """Install a ``serialize_state`` snapshot, replacing all mutable
         state.  Constructor-time configuration (cost model, sizer,
-        ``master_pid``, engine selection) is deliberately untouched: the
-        role's *owner* changed, not the algorithm."""
+        ``master_pid``) is deliberately untouched: the role's *owner*
+        changed, not the algorithm."""
         self.stats = DetectorStats.from_dict(data["stats"])
         self.races = [RaceReport.from_dict(d) for d in data["races"]]
         self.unverifiable = [RaceReport.from_dict(d)
@@ -488,146 +502,60 @@ class RaceDetector:
             (tuple(a), tuple(b))
             for a, b in data["unverifiable_pair_keys"]}
         self._first_race_epoch = data["first_race_epoch"]
-        self.actual_comparisons = data["actual_comparisons"]
 
     # ------------------------------------------------------------------ #
-    # Sharded execution primitives (see the module-level note above the
-    # shard dataclasses).  ``plan_shards`` -> per-owner ``compute_shard``
-    # -> pairwise ``merge_shard_items`` -> ``commit_sharded`` on the
-    # coordinator reproduces ``run_epoch``'s reports and statistics
-    # byte-identically; the cvm layer drives the phases and prices the
+    # The pipeline.  ``plan_shards`` -> per-owner ``compute_shard`` ->
+    # pairwise ``merge_shard_items`` -> ``commit_sharded`` on the
+    # coordinator; ``run_epoch`` is the same pipeline on a one-owner
+    # plan.  The cvm layer drives the sharded phases and prices the
     # distribution traffic.
     # ------------------------------------------------------------------ #
     def plan_shards(self, intervals: List[Interval],
                     owners: List[int]) -> Optional[ShardPlan]:
         """Partition the epoch's pair blocks over ``owners`` (coordinator
-        first).  Returns None when sharding cannot help — fewer than two
-        owners, or no cross-process blocks — in which case the caller runs
-        the centralized engine for this epoch.
-
-        Assignment is greedy weight-balanced over the block weights
-        ``|I_p| * |I_q|``, restricted to owners that are an endpoint of
-        the block (they already hold half the records locally); blocks
-        with no live endpoint owner land on the coordinator, which holds
-        every record.  Deterministic: blocks are visited in canonical
-        order and ties break by owner rank.
-        """
+        first; see :func:`plan_blocks`).  Returns None when sharding
+        cannot help — fewer than two owners, or no cross-process blocks —
+        in which case the caller runs ``run_epoch`` for this epoch."""
         if len(owners) < 2:
             return None
-        by_pid = group_by_pid(intervals)
-        pids = sorted(by_pid)
-        if len(pids) < 2:
+        plan = plan_blocks(intervals, owners)
+        if len(plan.by_pid) < 2:
             return None
-        owner_rank = {pid: rank for rank, pid in enumerate(owners)}
-        load: Dict[int, int] = {pid: 0 for pid in owners}
-        shards = {pid: DetectShard(owner=pid) for pid in owners}
-        total = 0
-        for i, p in enumerate(pids):
-            for q in pids[i + 1:]:
-                weight = len(by_pid[p]) * len(by_pid[q])
-                total += weight
-                candidates = [x for x in (p, q) if x in owner_rank]
-                if candidates:
-                    owner = min(candidates,
-                                key=lambda x: (load[x], owner_rank[x]))
-                else:
-                    owner = owners[0]
-                shards[owner].blocks.append((p, q))
-                shards[owner].model_comparisons += weight
-                load[owner] += weight
-        return ShardPlan(owners=list(owners), by_pid=by_pid, shards=shards,
-                         intervals=list(intervals), model_comparisons=total,
-                         lost_present=any(rec.lost for rec in intervals))
+        return plan
 
     def compute_shard(self, shard: DetectShard, plan: ShardPlan,
                       epoch: int, clock: VirtualClock) -> ShardResult:
-        """Run the pruned pair search + bitmap comparison for one shard's
-        blocks on the owner's ``clock``.
+        """Candidates, bitmap round and resolve for one owner's blocks,
+        charged to the owner's ``clock``: the modeled comparisons and the
+        overlap probes under INTERVALS, the digest pre-checks under
+        COARSE_FILTER, one BITMAPS charge per bitmap comparison.
 
-        Charges mirror the centralized engine exactly — the naive
-        comparison model under INTERVALS, overlap probes under INTERVALS,
-        one BITMAPS charge per bitmap comparison — they just land on the
-        owner's ledger.  Bitmaps the shard names but the owner does not
-        hold are fetched with the same byte formulas as the centralized
-        bitmap round, priced under SHARDED_DETECT;
+        The one-owner plan charges at least one comparison and fetches
+        through the master's bitmap round (:meth:`_fetch_bitmaps`); a
+        shard of a partitioned epoch fetches what its owner does not
+        hold under SHARDED_DETECT, and
         :class:`repro.errors.RetryExhaustedError` propagates so the
-        caller can fall back to centralized detection for the epoch.
+        caller can fall back to ``run_epoch`` for the epoch.
 
         Mutates **no** detector state: every counter lives in the
         returned :class:`ShardResult`, so an abandoned sharded pass (crash
         or network fallback) leaves the detector exactly as it was.
         """
-        res = ShardResult(owner=shard.owner,
-                          comparisons=shard.model_comparisons)
-        if not shard.blocks:
-            return res
-        search = PairSearchStats()
-        windows = []
-        probe_work = 0
-        for p, q in shard.blocks:
-            qs = plan.by_pid[q]
-            pre = [0]
-            for rec in qs:
-                pre.append(pre[-1] + len(rec.write_pages)
-                           + len(rec.read_pages))
-            for a in plan.by_pid[p]:
-                lo = _first_not_before(a, qs, search)
-                hi = _first_after(a, qs, search)
-                if hi > lo:
-                    width = hi - lo
-                    res.concurrent_pairs += width
-                    probe_work += (width * (len(a.write_pages)
-                                            + len(a.read_pages))
-                                   + pre[hi] - pre[lo])
-                    windows.append((a, qs, lo, hi))
-        res.probes = search.comparisons
-        clock.advance(
-            self.cost_model.interval_compare * shard.model_comparisons,
-            CostCategory.INTERVALS)
-        clock.advance(self.cost_model.page_overlap_check * probe_work,
+        cand = find_candidates(plan, shard, self.coarse_filter)
+        cm = self.cost_model
+        comparisons = cand.comparisons
+        if plan.centralized:
+            comparisons = max(1, comparisons)
+        clock.advance(cm.interval_compare * comparisons,
                       CostCategory.INTERVALS)
-        check_list = build_check_list(iter_window_pairs(windows))
-        res.check_entries = len(check_list)
-        for entry in check_list:
-            res.used.add((entry.a.pid, entry.a.index))
-            res.used.add((entry.b.pid, entry.b.index))
-        if plan.lost_present:
-            resolvable = [e for e in check_list
-                          if not (e.a.lost or e.b.lost)]
-        else:
-            resolvable = check_list
-        # Two-level filter, shard-side: identical digest pre-checks on the
-        # owner's clock.  Blocks partition the centralized entries exactly,
-        # so the per-shard counters sum to the centralized figures and the
-        # committed stats stay engine-independent.
-        fplan: Dict[int, Optional[List[OverlapPage]]] = {}
+        clock.advance(cm.page_overlap_check * cand.probe_work,
+                      CostCategory.INTERVALS)
         if self.coarse_filter:
-            effective: List[CheckEntry] = []
-            for entry in resolvable:
-                pages, entry_checks, entry_hits = self._filter_pages(entry)
-                res.granule_checks += entry_checks
-                res.granule_hits += entry_hits
-                res.pairs_filtered += entry_checks - entry_hits
-                fplan[id(entry)] = pages
-                if pages:
-                    effective.append(CheckEntry(entry.a, entry.b, pages))
-            clock.advance(self.cost_model.granule_check * res.granule_checks,
+            clock.advance(cm.granule_check * cand.granule_checks,
                           CostCategory.COARSE_FILTER)
-            res.needed = bitmaps_needed(effective)
-        else:
-            res.needed = bitmaps_needed(resolvable)
-        res.fetch_messages, res.fetch_bytes = self._charge_shard_bitmap_round(
-            shard.owner, res.needed, clock)
-        for entry in check_list:
-            if plan.lost_present and (entry.a.lost or entry.b.lost):
-                res.items.append(self._shard_unverifiable_item(entry, epoch))
-            else:
-                item = self._shard_race_item(
-                    entry, epoch, clock, res,
-                    pages=fplan.get(id(entry)) if self.coarse_filter
-                    else None)
-                if item is not None:
-                    res.items.append(item)
+        res = ShardResult(owner=shard.owner, candidates=cand)
+        self._fetch_bitmaps(res, plan.centralized, clock)
+        self._resolve(res, epoch, clock)
         return res
 
     @staticmethod
@@ -661,408 +589,225 @@ class RaceDetector:
     def commit_sharded(self, plan: ShardPlan, results: List[ShardResult],
                        items: List[ShardItem], epoch: int,
                        master_clock: VirtualClock) -> List[RaceReport]:
-        """Coordinator-side commit of a sharded epoch: fold the reduced
-        candidate stream through the cross-epoch dedup state and update
-        every statistic exactly as ``run_epoch`` would have.
+        """Commit step on the coordinator: fold the candidate stream
+        through the cross-epoch dedup state and update every statistic.
 
         ``items`` is the fully merged, key-sorted candidate list — the
-        centralized check-list order — so first-occurrence dedup against
-        ``_seen_keys`` keeps precisely the reports the centralized engine
-        keeps, in the same order.
+        whole-epoch check-list order — so first-occurrence dedup against
+        ``_seen_keys`` keeps the same reports in the same order however
+        the blocks were assigned.  Charges nothing: every cycle was
+        spent on the owners' clocks.
         """
-        self.stats.epochs_checked += 1
+        st = self.stats
+        st.epochs_checked += 1
         for rec in plan.intervals:
-            self.stats.bitmaps_created += (len(rec.read_bitmaps)
-                                           + len(rec.write_bitmaps))
-        self.stats.intervals_total += len(plan.intervals)
-        self.stats.interval_comparisons += plan.model_comparisons
-        self.stats.concurrent_pairs += sum(r.concurrent_pairs
-                                           for r in results)
-        self.actual_comparisons += sum(r.probes for r in results)
-        self.stats.overlapping_pairs += sum(r.check_entries for r in results)
+            st.bitmaps_created += (len(rec.read_bitmaps)
+                                   + len(rec.write_bitmaps))
+        st.intervals_total += len(plan.intervals)
+        st.interval_comparisons += plan.model_comparisons
         used: Set[Tuple[int, int]] = set()
         needed: Set[Tuple[int, int, int, str]] = set()
+        failed: Set[int] = set()
+        pairs = entries = 0
         for r in results:
-            used |= r.used
-            needed |= r.needed
-        self.stats.intervals_used += len(used)
-        fetched = len(needed)
-        self.stats.bitmaps_fetched += fetched
-        self.stats.bitmap_comparisons += sum(r.bitmap_comparisons
-                                             for r in results)
-        self.stats.granule_checks += sum(r.granule_checks for r in results)
-        self.stats.granule_hits += sum(r.granule_hits for r in results)
-        self.stats.pairs_filtered += sum(r.pairs_filtered for r in results)
+            cand = r.candidates
+            pairs += cand.concurrent_pairs
+            entries += len(cand.check_list)
+            for entry in cand.check_list:
+                used.add((entry.a.pid, entry.a.index))
+                used.add((entry.b.pid, entry.b.index))
+            needed |= cand.needed
+            failed |= r.failed_owners
+            st.bitmap_comparisons += r.bitmap_comparisons
+            st.granule_checks += cand.granule_checks
+            st.granule_hits += cand.granule_hits
+            st.pairs_filtered += cand.granule_checks - cand.granule_hits
+        st.concurrent_pairs += pairs
+        st.overlapping_pairs += entries
+        st.intervals_used += len(used)
+        st.bitmap_rounds_failed += len(failed)
+        fetched = sum(1 for pid, _idx, _page, _kind in needed
+                      if pid not in failed)
+        st.bitmaps_fetched += fetched
 
         new_races: List[RaceReport] = []
         new_unverifiable: List[RaceReport] = []
+        seen = self._seen_keys
         for item in items:
             if item.kind == "unverifiable":
                 if item.pair_key not in self._unverifiable_pair_keys:
                     self._unverifiable_pair_keys.add(item.pair_key)
-                    self.stats.unverifiable_pairs += 1
-                for report in item.reports:
-                    key = report.key()
-                    if key not in self._seen_keys:
-                        self._seen_keys.add(key)
-                        self.stats.unverifiable_reports += 1
-                        new_unverifiable.append(report)
+                    st.unverifiable_pairs += 1
+                out = new_unverifiable
             else:
-                for report in item.reports:
-                    key = report.key()
-                    if key not in self._seen_keys:
-                        self._seen_keys.add(key)
-                        new_races.append(report)
+                out = new_races
+            for report in item.reports:
+                key = report.key()
+                if key not in seen:
+                    seen.add(key)
+                    out.append(report)
+                    if item.kind == "unverifiable":
+                        st.unverifiable_reports += 1
+                    elif item.kind == "page":
+                        st.page_granularity_reports += 1
         self.unverifiable.extend(new_unverifiable)
 
-        self.stats.epoch_history.append(EpochSummary(
+        st.epoch_history.append(EpochSummary(
             epoch=epoch, intervals=len(plan.intervals),
-            comparisons=plan.model_comparisons,
-            concurrent_pairs=sum(r.concurrent_pairs for r in results),
-            check_list_entries=sum(r.check_entries for r in results),
-            bitmaps_fetched=fetched, races=len(new_races),
-            unverifiable=len(new_unverifiable)))
+            comparisons=plan.model_comparisons, concurrent_pairs=pairs,
+            check_list_entries=entries, bitmaps_fetched=fetched,
+            races=len(new_races), unverifiable=len(new_unverifiable)))
 
         if self.first_races_only and new_races:
             if self._first_race_epoch is None:
                 self._first_race_epoch = epoch
             elif epoch > self._first_race_epoch:
-                self.stats.races_suppressed_not_first += len(new_races)
+                # Races in a later epoch are necessarily affected by the
+                # earlier ones (a barrier orders the epochs), hence not
+                # "first" races (§6.4).
+                st.races_suppressed_not_first += len(new_races)
                 return []
         self.races.extend(new_races)
-        self.stats.races_found += len(new_races)
+        st.races_found += len(new_races)
         return new_races
 
-    def _charge_shard_bitmap_round(
-            self, owner: int, needed: Set[Tuple[int, int, int, str]],
-            clock: VirtualClock) -> Tuple[int, int]:
-        """Shard-local bitmap retrieval: same byte formulas as the
-        centralized round, on the owner's clock, priced under
-        SHARDED_DETECT (the round exists only because of sharding — the
-        per-shard fetches may overlap across owners, which the separate
-        category keeps honest).  Returns ``(messages, bytes)``;
-        RetryExhaustedError propagates to trigger the centralized
-        fallback."""
-        nmsgs = nbytes = 0
-        if not needed:
-            return nmsgs, nbytes
+    # ------------------------------------------------------------------ #
+    # Internals.
+    # ------------------------------------------------------------------ #
+    def _fetch_bitmaps(self, res: ShardResult, centralized: bool,
+                       clock: VirtualClock) -> None:
+        """The bitmap round for ``res.candidates.needed``: one request and
+        one reply per process that owns needed bitmaps, except the
+        fetching owner itself (its bitmaps are local).
+
+        Centralized, it is the paper's extra barrier round under BITMAPS:
+        a pid whose exchange exhausts the reliable channel's retry budget
+        lands in ``res.failed_owners`` and its check entries degrade to
+        page-granularity reports instead of being silently dropped.  For
+        a shard the round exists only because of sharding (fetches may
+        overlap across owners), so it is priced under SHARDED_DETECT and
+        RetryExhaustedError propagates to trigger the fallback."""
+        if centralized:
+            tag, category = "bitmap", CostCategory.BITMAPS
+        else:
+            tag, category = "shard_bitmap", CostCategory.SHARDED_DETECT
+        owner = res.owner
         by_owner: Dict[int, int] = {}
-        for pid, _idx, _page, _kind in needed:
+        for pid, _idx, _page, _kind in res.candidates.needed:
             by_owner[pid] = by_owner.get(pid, 0) + 1
         for pid in sorted(by_owner):
             if pid == owner:
-                continue  # the shard owner's own bitmaps are local
+                continue
             count = by_owner[pid]
             req_bytes = self.sizer.ints(1 + 4 * count)
             reply_bytes = self.sizer.ints(1) + count * (
                 self.sizer.ints(4) + self.sizer.bitmap())
-            msg = self.transport.send(
-                "shard_bitmap_request", owner, pid, None, req_bytes,
-                clock, category=CostCategory.SHARDED_DETECT)
-            nmsgs += 1
-            nbytes += msg.nbytes
-            msg = self.transport.send(
-                "shard_bitmap_reply", pid, owner, None, reply_bytes,
-                clock, category=CostCategory.SHARDED_DETECT,
-                fragmentable=True)
-            nmsgs += 1
-            nbytes += msg.nbytes
-        return nmsgs, nbytes
+            try:
+                for name, src, dst, nbytes, frag in (
+                        ("request", owner, pid, req_bytes, False),
+                        ("reply", pid, owner, reply_bytes, True)):
+                    msg = self.transport.send(
+                        f"{tag}_{name}", src, dst, None, nbytes, clock,
+                        category=category, fragmentable=frag)
+                    res.fetch_messages += 1
+                    res.fetch_bytes += msg.nbytes
+                    if centralized:
+                        self.transport.stats.add_bitmap_round_bytes(
+                            msg.nbytes)
+            except RetryExhaustedError:
+                if not centralized:
+                    raise
+                res.failed_owners.add(pid)
 
-    def _shard_race_item(self, entry: CheckEntry, epoch: int,
-                         clock: VirtualClock, res: ShardResult,
-                         pages: Optional[List[OverlapPage]] = None
-                         ) -> Optional[ShardItem]:
-        """Dedup-free mirror of ``_compare_entry``: same page/combination
-        order, same BITMAPS charge per comparison, but every intersection
-        bit becomes a candidate — first-occurrence dedup is the
-        coordinator's commit step, where the global order is known."""
+    def _resolve(self, res: ShardResult, epoch: int,
+                 clock: VirtualClock) -> None:
+        """Resolve step: one dedup-free item per check entry that yields
+        candidates, in check-list order — word-bitmap intersections, or
+        page-granularity reports where a bitmap exchange failed, or
+        unverifiable entries where a crash destroyed a side's bitmaps."""
+        cand = res.candidates
+        failed = res.failed_owners
+        for entry, pages in zip(cand.check_list, cand.pages):
+            a, b = entry.a, entry.b
+            key = (a.pid, b.pid, a.index, b.index)
+            if pages is None:
+                res.items.append(self._unverifiable_item(entry, key, epoch))
+            elif failed and (a.pid in failed or b.pid in failed):
+                # Deliberately over the *unfiltered* pages: with the
+                # exchange failed, the conservative report matches what
+                # the filter-off detector would emit.
+                res.items.append(ShardItem(
+                    key=key, kind="page",
+                    reports=self._page_reports(entry, epoch)))
+            else:
+                reports = self._race_reports(entry, pages, epoch, clock, res)
+                if reports:
+                    res.items.append(ShardItem(key=key, kind="race",
+                                               reports=reports))
+
+    def _race_reports(self, entry: CheckEntry, pages: List[OverlapPage],
+                      epoch: int, clock: VirtualClock,
+                      res: ShardResult) -> List[RaceReport]:
+        """Intersect the word bitmaps of every flagged combination; each
+        comparison is one BITMAPS charge.  Absent bitmaps are empty (this
+        is where §6.5's diff-derived write detection silently loses
+        same-value overwrites: the diff produced no bits)."""
         a, b = entry.a, entry.b
+        cost = self.cost_model.bitmap_compare_per_word * self.page_size_words
         reports: List[RaceReport] = []
-        for ov in (entry.pages if pages is None else pages):
-            if ov.write_write:
-                reports.extend(self._shard_intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.WRITE_WRITE, epoch, clock, res))
-            if ov.a_read_b_write:
-                reports.extend(self._shard_intersect(
-                    a, "read", a.read_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, clock, res))
-            if ov.a_write_b_read:
-                reports.extend(self._shard_intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "read", b.read_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, clock, res))
-        if not reports:
-            return None
-        return ShardItem(key=(a.pid, b.pid, a.index, b.index),
-                         kind="race", reports=reports)
-
-    def _shard_intersect(self, a: Interval, a_access: str,
-                         bm_a: Optional[Bitmap], b: Interval, b_access: str,
-                         bm_b: Optional[Bitmap], page: int, kind: RaceKind,
-                         epoch: int, clock: VirtualClock,
-                         res: ShardResult) -> List[RaceReport]:
-        res.bitmap_comparisons += 1
-        clock.advance(
-            self.cost_model.bitmap_compare_per_word * self.page_size_words,
-            CostCategory.BITMAPS)
-        bm_a = bm_a or self._empty
-        bm_b = bm_b or self._empty
-        reports: List[RaceReport] = []
-        for bit in bm_a.intersection_bits(bm_b):
-            addr = page * self.page_size_words + bit
-            reports.append(RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=page, offset=bit, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label)))
+        for ov in pages:
+            page = ov.page
+            for a_access, b_access, kind in _combos(ov):
+                res.bitmap_comparisons += 1
+                clock.advance(cost, CostCategory.BITMAPS)
+                bm_a = (a.write_bitmaps if a_access == "write"
+                        else a.read_bitmaps).get(page) or self._empty
+                bm_b = (b.write_bitmaps if b_access == "write"
+                        else b.read_bitmaps).get(page) or self._empty
+                for bit in bm_a.intersection_bits(bm_b):
+                    addr = page * self.page_size_words + bit
+                    reports.append(RaceReport(
+                        kind=kind, addr=addr, symbol=self.symbol_for(addr),
+                        page=page, offset=bit, epoch=epoch,
+                        a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
+                        b=IntervalRef(b.pid, b.index, b_access,
+                                      b.sync_label)))
         return reports
 
-    def _shard_unverifiable_item(self, entry: CheckEntry,
-                                 epoch: int) -> ShardItem:
-        """Dedup-free mirror of ``_report_unverifiable``; the pair key and
-        every candidate entry travel with the item because the pair count
-        and the report dedup both belong to the coordinator's commit."""
+    def _page_reports(self, entry: CheckEntry, epoch: int,
+                      **flags: Any) -> List[RaceReport]:
+        """Whole-page reports for every flagged combination of every
+        overlap page, explicitly ``granularity="page"`` — the affected
+        range is never silently dropped (ROADMAP robustness goal; compare
+        Butelle & Coti's requirement that detection metadata survive an
+        unreliable substrate).  ``flags`` adds the unverifiable verdict."""
         a, b = entry.a, entry.b
-        pair_key = tuple(sorted([(a.pid, a.index), (b.pid, b.index)]))
-        lost = tuple(f"P{rec.pid}:{rec.index}"
-                     for rec in sorted((a, b), key=lambda r: (r.pid, r.index))
-                     if rec.lost)
         reports: List[RaceReport] = []
         for ov in entry.pages:
-            combos = []
-            if ov.write_write:
-                combos.append(("write", "write", RaceKind.WRITE_WRITE))
-            if ov.a_read_b_write:
-                combos.append(("read", "write", RaceKind.READ_WRITE))
-            if ov.a_write_b_read:
-                combos.append(("write", "read", RaceKind.READ_WRITE))
             addr = ov.page * self.page_size_words
-            for a_access, b_access, kind in combos:
+            for a_access, b_access, kind in _combos(ov):
                 reports.append(RaceReport(
                     kind=kind, addr=addr, symbol=self.symbol_for(addr),
                     page=ov.page, offset=0, epoch=epoch,
                     a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
                     b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                    granularity="page", verdict="unverifiable",
-                    lost_intervals=lost))
-        return ShardItem(key=(a.pid, b.pid, a.index, b.index),
-                         kind="unverifiable", reports=reports,
-                         pair_key=pair_key)
+                    granularity="page", **flags))
+        return reports
 
-    # ------------------------------------------------------------------ #
-    # Internals.
-    # ------------------------------------------------------------------ #
-    def _charge_bitmap_round(self, needed: Set[Tuple[int, int, int, str]],
-                             master_clock: VirtualClock) -> Set[int]:
-        """Message accounting for the bitmap retrieval round: one request
-        and one reply per process that owns needed bitmaps.
-
-        Returns the pids whose exchange exhausted the reliable channel's
-        retry budget (always empty on a fault-free network); their bitmaps
-        are unavailable and the caller degrades those check entries to
-        page-granularity reports instead of silently dropping them.
-        """
-        failed: Set[int] = set()
-        if not needed:
-            return failed
-        by_owner: Dict[int, int] = {}
-        for pid, _idx, _page, _kind in needed:
-            by_owner[pid] = by_owner.get(pid, 0) + 1
-        for pid in sorted(by_owner):
-            count = by_owner[pid]
-            req_bytes = self.sizer.ints(1 + 4 * count)
-            reply_bytes = self.sizer.ints(1) + count * (
-                self.sizer.ints(4) + self.sizer.bitmap())
-            if pid == self.master_pid:
-                continue  # master's own bitmaps are local
-            try:
-                msg = self.transport.send(
-                    "bitmap_request", self.master_pid, pid, None, req_bytes,
-                    master_clock, category=CostCategory.BITMAPS)
-                self.transport.stats.add_bitmap_round_bytes(msg.nbytes)
-                msg = self.transport.send(
-                    "bitmap_reply", pid, self.master_pid, None, reply_bytes,
-                    master_clock, category=CostCategory.BITMAPS,
-                    fragmentable=True)
-                self.transport.stats.add_bitmap_round_bytes(msg.nbytes)
-            except RetryExhaustedError:
-                failed.add(pid)
-                self.stats.bitmap_rounds_failed += 1
-        return failed
-
-    def _filter_pages(self, entry: CheckEntry
-                      ) -> Tuple[List[OverlapPage], int, int]:
-        """Granule pre-check of one check entry: returns the surviving
-        overlap pages (combination flags cleared where the digests prove
-        the word bitmaps disjoint, pages with no surviving flag dropped)
-        plus the (checks, hits) counts for stats and cycle charging."""
-        a, b = entry.a, entry.b
-        out: List[OverlapPage] = []
-        checks = hits = 0
-        for ov in entry.pages:
-            ww = arbw = awbr = False
-            if ov.write_write:
-                checks += 1
-                if not digests_disjoint(a.digest(ov.page, "write"),
-                                        b.digest(ov.page, "write")):
-                    ww = True
-                    hits += 1
-            if ov.a_read_b_write:
-                checks += 1
-                if not digests_disjoint(a.digest(ov.page, "read"),
-                                        b.digest(ov.page, "write")):
-                    arbw = True
-                    hits += 1
-            if ov.a_write_b_read:
-                checks += 1
-                if not digests_disjoint(a.digest(ov.page, "write"),
-                                        b.digest(ov.page, "read")):
-                    awbr = True
-                    hits += 1
-            if ww or arbw or awbr:
-                out.append(OverlapPage(page=ov.page, write_write=ww,
-                                       a_read_b_write=arbw,
-                                       a_write_b_read=awbr))
-        return out, checks, hits
-
-    def _compare_entry(self, entry: CheckEntry, epoch: int,
-                       master_clock: VirtualClock,
-                       failed_owners: Set[int] = frozenset(),
-                       pages: Optional[List[OverlapPage]] = None
-                       ) -> List[RaceReport]:
-        races: List[RaceReport] = []
-        a, b = entry.a, entry.b
-        if failed_owners and (a.pid in failed_owners
-                              or b.pid in failed_owners):
-            # Word bitmaps for one side never arrived: degrade this entry
-            # to explicit page-granularity reports rather than dropping it.
-            # Deliberately over the *unfiltered* pages: with the exchange
-            # failed, the conservative page-granularity report matches
-            # what the filter-off detector would emit.
-            for ov in entry.pages:
-                races.extend(self._report_page_granularity(
-                    entry, ov, epoch))
-            return races
-        for ov in (entry.pages if pages is None else pages):
-            if ov.write_write:
-                races.extend(self._intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.WRITE_WRITE, epoch, master_clock))
-            if ov.a_read_b_write:
-                races.extend(self._intersect(
-                    a, "read", a.read_bitmaps.get(ov.page),
-                    b, "write", b.write_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, master_clock))
-            if ov.a_write_b_read:
-                races.extend(self._intersect(
-                    a, "write", a.write_bitmaps.get(ov.page),
-                    b, "read", b.read_bitmaps.get(ov.page),
-                    ov.page, RaceKind.READ_WRITE, epoch, master_clock))
-        return races
-
-    def _report_page_granularity(self, entry: CheckEntry, ov,
-                                 epoch: int) -> List[RaceReport]:
-        """Conservative fallback for a check-list page whose word bitmaps
-        could not be retrieved: report the *whole page* as potentially
-        racy, explicitly flagged ``granularity="page"`` — the affected
-        range is never silently dropped (ROADMAP robustness goal; compare
-        Butelle & Coti's requirement that detection metadata survive an
-        unreliable substrate)."""
-        a, b = entry.a, entry.b
-        combos = []
-        if ov.write_write:
-            combos.append(("write", "write", RaceKind.WRITE_WRITE))
-        if ov.a_read_b_write:
-            combos.append(("read", "write", RaceKind.READ_WRITE))
-        if ov.a_write_b_read:
-            combos.append(("write", "read", RaceKind.READ_WRITE))
-        races: List[RaceReport] = []
-        addr = ov.page * self.page_size_words
-        for a_access, b_access, kind in combos:
-            report = RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=ov.page, offset=0, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                granularity="page")
-            key = report.key()
-            if key not in self._seen_keys:
-                self._seen_keys.add(key)
-                self.stats.page_granularity_reports += 1
-                races.append(report)
-        return races
-
-    def _report_unverifiable(self, entry: CheckEntry,
-                             epoch: int) -> List[RaceReport]:
-        """Degraded-mode reporting for a check entry touching a crash-lost
+    def _unverifiable_item(self, entry: CheckEntry,
+                           key: Tuple[int, int, int, int],
+                           epoch: int) -> ShardItem:
+        """Degraded-mode item for a check entry touching a crash-lost
         interval: the pair is concurrent and its notices overlap, but the
-        word bitmaps of the lost side died with the node, so the race can
-        be neither confirmed nor refuted.  Every such pair is surfaced as
-        explicit ``verdict="unverifiable"`` page-granularity entries naming
-        the lost interval(s) — soundness of the degraded detector means
-        never dropping a check silently."""
+        lost side's word bitmaps died with the node, so the race can be
+        neither confirmed nor refuted.  The pair key travels with the
+        item because the pair count belongs to the commit."""
         a, b = entry.a, entry.b
-        pair_key = tuple(sorted([(a.pid, a.index), (b.pid, b.index)]))
-        if pair_key not in self._unverifiable_pair_keys:
-            self._unverifiable_pair_keys.add(pair_key)
-            self.stats.unverifiable_pairs += 1
-        lost = tuple(f"P{rec.pid}:{rec.index}"
-                     for rec in sorted((a, b), key=lambda r: (r.pid, r.index))
+        ordered = sorted((a, b), key=lambda r: (r.pid, r.index))
+        lost = tuple(f"P{rec.pid}:{rec.index}" for rec in ordered
                      if rec.lost)
-        combos = []
-        races: List[RaceReport] = []
-        for ov in entry.pages:
-            combos.clear()
-            if ov.write_write:
-                combos.append(("write", "write", RaceKind.WRITE_WRITE))
-            if ov.a_read_b_write:
-                combos.append(("read", "write", RaceKind.READ_WRITE))
-            if ov.a_write_b_read:
-                combos.append(("write", "read", RaceKind.READ_WRITE))
-            addr = ov.page * self.page_size_words
-            for a_access, b_access, kind in combos:
-                report = RaceReport(
-                    kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                    page=ov.page, offset=0, epoch=epoch,
-                    a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                    b=IntervalRef(b.pid, b.index, b_access, b.sync_label),
-                    granularity="page", verdict="unverifiable",
-                    lost_intervals=lost)
-                key = report.key()
-                if key not in self._seen_keys:
-                    self._seen_keys.add(key)
-                    self.stats.unverifiable_reports += 1
-                    races.append(report)
-        return races
-
-    def _intersect(self, a: Interval, a_access: str, bm_a: Optional[Bitmap],
-                   b: Interval, b_access: str, bm_b: Optional[Bitmap],
-                   page: int, kind: RaceKind, epoch: int,
-                   master_clock: VirtualClock) -> List[RaceReport]:
-        """One bitmap comparison; absent bitmaps are empty (this is where
-        §6.5's diff-derived write detection silently loses same-value
-        overwrites: the diff produced no bits)."""
-        self.stats.bitmap_comparisons += 1
-        master_clock.advance(
-            self.cost_model.bitmap_compare_per_word * self.page_size_words,
-            CostCategory.BITMAPS)
-        bm_a = bm_a or self._empty
-        bm_b = bm_b or self._empty
-        races: List[RaceReport] = []
-        for bit in bm_a.intersection_bits(bm_b):
-            addr = page * self.page_size_words + bit
-            report = RaceReport(
-                kind=kind, addr=addr, symbol=self.symbol_for(addr),
-                page=page, offset=bit, epoch=epoch,
-                a=IntervalRef(a.pid, a.index, a_access, a.sync_label),
-                b=IntervalRef(b.pid, b.index, b_access, b.sync_label))
-            key = report.key()
-            if key not in self._seen_keys:
-                self._seen_keys.add(key)
-                races.append(report)
-        return races
+        return ShardItem(
+            key=key, kind="unverifiable",
+            reports=self._page_reports(entry, epoch, verdict="unverifiable",
+                                       lost_intervals=lost),
+            pair_key=tuple((rec.pid, rec.index) for rec in ordered))

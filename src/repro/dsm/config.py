@@ -33,13 +33,6 @@ class DsmConfig:
             bitmaps, no barrier analysis) — the baseline for slowdowns.
         first_races_only: Report only races from the earliest barrier
             epoch that has any (§6.4 extension).
-        detector_fast_path: Use the pruned pair search plus the inverted
-            page index as the detection execution engine (default).  The
-            race verdicts, detector statistics, and virtual-time ledgers
-            are identical to the reference engine — the naive algorithm's
-            cost is still charged to the master clock analytically — only
-            real (Python) wall-clock time differs.  Off = the paper's
-            literal O(i²p²) algorithm, kept for equivalence tests.
         access_fast_path: Use the batched access execution engine in
             ``Env`` (default): clock advances fused into one pre-summed
             charge per access, per-configuration bound methods chosen at
@@ -213,7 +206,6 @@ class DsmConfig:
     protocol: str = "sw"
     detection: bool = True
     first_races_only: bool = False
-    detector_fast_path: bool = True
     access_fast_path: bool = True
     diff_write_detection: bool = False
     inline_instrumentation: bool = False

@@ -282,7 +282,6 @@ class CVM:
             config.page_size_words, config.cost_model, self.sizer,
             self.net, self.segment.symbol_for, master_pid=master_pid,
             first_races_only=config.first_races_only,
-            fast_path=config.detector_fast_path,
             coarse_filter=config.coarse_filter)
 
     @property

@@ -10,21 +10,28 @@ hardware allows" goal is about.  It provides
   interval batch the barrier master analyzed, so detection can be
   re-executed offline on identical inputs, and
 * :func:`time_detection` — replay captured epochs through a fresh
-  :class:`~repro.core.detector.RaceDetector` under either execution
-  engine (``fast_path`` on/off) and report wall-clock plus the verdicts,
-  letting ``benchmarks/bench_wallclock.py`` verify that the fast path is
+  :class:`~repro.core.detector.RaceDetector` and report wall-clock plus
+  the verdicts, and
+* :func:`oracle_candidates` / :func:`production_candidates` — the
+  detector's candidates step next to its naive oracle, letting
+  ``benchmarks/bench_wallclock.py`` verify that the production step is
   both faster and observationally identical.
 """
 
 from repro.perf.timing import BenchSample, timeit_best
 from repro.perf.detection import (CapturedEpoch, DetectionTiming,
-                                  capture_epochs, time_detection)
+                                  candidate_key, capture_epochs,
+                                  oracle_candidates, production_candidates,
+                                  time_detection)
 
 __all__ = [
     "BenchSample",
     "CapturedEpoch",
     "DetectionTiming",
+    "candidate_key",
     "capture_epochs",
+    "oracle_candidates",
+    "production_candidates",
     "time_detection",
     "timeit_best",
 ]

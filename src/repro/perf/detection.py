@@ -2,12 +2,14 @@
 
 The barrier master's epoch analysis is a pure function of the closing
 epoch's interval records (plus the cost model), so it can be captured
-from a real application run once and then replayed through either
-execution engine — the reference O(i²p²) algorithm or the fast path —
-on *bit-identical inputs*.  That is what makes the wall-clock comparison
-in ``benchmarks/bench_wallclock.py`` honest: both engines chew the same
-epochs, and their verdicts/ledgers can be compared for equality in the
-same breath.
+from a real application run once and then replayed on *bit-identical
+inputs*: through the whole detector (:func:`time_detection`), or through
+the candidates step alone next to its oracle — the naive pair search,
+overlap probes and check list (:func:`oracle_candidates` vs
+:func:`production_candidates`).  That is what makes the wall-clock
+comparison in ``benchmarks/bench_wallclock.py`` honest: both sides chew
+the same epochs, and their outputs are compared for equality in the same
+breath.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.apps.base import AppSpec
-from repro.core.detector import DetectorStats, RaceDetector
+from repro.core.checklist import CheckEntry, build_check_list, overlap_work
+from repro.core.concurrency import PairSearchStats, find_concurrent_pairs
+from repro.core.detector import (DetectorStats, RaceDetector,
+                                 find_candidates, plan_blocks)
 from repro.dsm.cvm import CVM, RunResult
 from repro.dsm.interval import Interval
 from repro.net.message import WireSizer
@@ -36,21 +41,18 @@ class CapturedEpoch:
 
 @dataclass
 class DetectionTiming:
-    """Result of replaying captured epochs through one engine."""
+    """Result of replaying captured epochs through the detector."""
 
     label: str
-    fast_path: bool
     sample: BenchSample
     races: List[Any]
     stats: DetectorStats
     clock_now: float
     ledger_totals: dict
-    #: Vector-clock probes the engine actually performed.
-    actual_comparisons: int
 
     def fingerprint(self) -> Tuple:
         """Everything observable about the run except wall-clock: equal
-        fingerprints == equivalent engines."""
+        fingerprints == equivalent runs."""
         return (tuple(r.key() for r in self.races), self.stats,
                 self.clock_now,
                 tuple(sorted((k.value, v)
@@ -82,7 +84,7 @@ def capture_epochs(spec: AppSpec, nprocs: int = 8, params: Any = None,
 
 
 def time_detection(epochs: List[CapturedEpoch], page_size_words: int,
-                   nprocs: int, fast_path: bool,
+                   nprocs: int,
                    cost_model: Optional[CostModel] = None,
                    repeats: int = 3, label: str = "") -> DetectionTiming:
     """Replay ``epochs`` through a fresh detector ``repeats`` times and
@@ -100,7 +102,7 @@ def time_detection(epochs: List[CapturedEpoch], page_size_words: int,
         detector = RaceDetector(
             page_size_words, cm, WireSizer(nprocs, page_size_words),
             Transport(cm), symbol_for=lambda addr: f"word+{addr}",
-            master_pid=0, fast_path=fast_path)
+            master_pid=0)
         clock = VirtualClock()
         for ep in epochs:
             detector.run_epoch(ep.intervals, ep.epoch, clock)
@@ -111,7 +113,41 @@ def time_detection(epochs: List[CapturedEpoch], page_size_words: int,
     detector = last["detector"]
     clock = last["clock"]
     return DetectionTiming(
-        label=label, fast_path=fast_path, sample=sample,
+        label=label, sample=sample,
         races=list(detector.races), stats=detector.stats,
-        clock_now=clock.now, ledger_totals=dict(clock.ledger.totals),
-        actual_comparisons=detector.actual_comparisons)
+        clock_now=clock.now, ledger_totals=dict(clock.ledger.totals))
+
+
+#: The candidates step's observable output for one epoch: modeled
+#: comparisons, concurrent pairs, overlap probe work, and the check list.
+CandidateOutput = Tuple[int, int, int, List[CheckEntry]]
+
+
+def oracle_candidates(intervals: List[Interval]) -> CandidateOutput:
+    """The candidates step written out as the paper states it: every
+    cross-process pair compared, every concurrent pair's notice lists
+    merged, the overlapping ones kept."""
+    stats = PairSearchStats()
+    pairs = list(find_concurrent_pairs(intervals, stats))
+    return (stats.comparisons, stats.concurrent_pairs,
+            sum(overlap_work(a, b) for a, b in pairs),
+            build_check_list(pairs))
+
+
+def production_candidates(intervals: List[Interval]) -> CandidateOutput:
+    """The detector's candidates step on the one-owner plan, exactly as
+    ``RaceDetector.run_epoch`` runs it."""
+    plan = plan_blocks(intervals, [0])
+    cand = find_candidates(plan, plan.shards[0], coarse_filter=False)
+    return (cand.comparisons, cand.concurrent_pairs, cand.probe_work,
+            cand.check_list)
+
+
+def candidate_key(out: CandidateOutput) -> Tuple:
+    """Hashable, comparable form of a candidates output."""
+    comparisons, pairs, probe_work, check_list = out
+    return (comparisons, pairs, probe_work, tuple(
+        (e.a.pid, e.a.index, e.b.pid, e.b.index,
+         tuple((ov.page, ov.write_write, ov.a_read_b_write,
+                ov.a_write_b_read) for ov in e.pages))
+        for e in check_list))

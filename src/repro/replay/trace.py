@@ -62,7 +62,7 @@ def execution_digest(config, app_name: str) -> str:
 
     A record run (detection off) and its replay (detection on) must
     produce the same digest, so detection-side fields
-    (``first_races_only``, ``detector_fast_path``, sharding, ...) are
+    (``first_races_only``, ``coarse_filter``, sharding, ...) are
     deliberately excluded; crash fields are absent because the config
     layer refuses to compose crash injection with either mode.
     """

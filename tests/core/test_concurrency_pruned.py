@@ -1,5 +1,5 @@
-"""The pruned (binary-search) pair search and the window/index fast-path
-primitives: equivalence with the naive reference, and the savings."""
+"""The pruned (binary-search) window scan and the inverted-index check
+list: equivalence with the naive reference, and the savings."""
 
 import random
 
@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from repro.core.checklist import (build_check_list, build_check_list_fast,
                                   index_meetings, overlap_work)
 from repro.core.concurrency import (PairSearchStats, find_concurrent_pairs,
-                                    find_concurrent_pairs_pruned,
-                                    iter_window_pairs,
-                                    model_comparison_count, scan_windows)
+                                    group_by_pid, iter_window_pairs,
+                                    model_comparison_count, process_blocks,
+                                    scan_windows)
 from repro.dsm.interval import Interval
 from repro.dsm.vector_clock import VectorClock
 
@@ -48,6 +48,16 @@ def random_epoch(seed: int, nprocs: int, per_proc: int, notices: bool = False):
     return intervals
 
 
+def scan_epoch(intervals, stats):
+    """The window scan over every block of the epoch."""
+    by_pid = group_by_pid(intervals)
+    return scan_windows(by_pid, process_blocks(by_pid), stats)
+
+
+def window_pairs(intervals, stats):
+    return iter_window_pairs(scan_epoch(intervals, stats)[1])
+
+
 def pair_keys(pairs):
     return {((a.pid, a.index), (b.pid, b.index)) for a, b in pairs}
 
@@ -56,8 +66,7 @@ def pair_keys(pairs):
 def test_pruned_equals_naive(seed):
     intervals = random_epoch(seed, nprocs=4, per_proc=8)
     naive = pair_keys(find_concurrent_pairs(intervals, PairSearchStats()))
-    pruned = pair_keys(
-        find_concurrent_pairs_pruned(intervals, PairSearchStats()))
+    pruned = pair_keys(window_pairs(intervals, PairSearchStats()))
     assert naive == pruned
 
 
@@ -68,8 +77,7 @@ def test_pruned_equals_naive(seed):
 def test_pruned_equals_naive_property(seed, nprocs, per_proc):
     intervals = random_epoch(seed, nprocs, per_proc)
     naive = pair_keys(find_concurrent_pairs(intervals, PairSearchStats()))
-    pruned = pair_keys(
-        find_concurrent_pairs_pruned(intervals, PairSearchStats()))
+    pruned = pair_keys(window_pairs(intervals, PairSearchStats()))
     assert naive == pruned
 
 
@@ -79,7 +87,7 @@ def test_pruned_needs_fewer_comparisons_on_ordered_epochs():
     intervals = random_epoch(7, nprocs=4, per_proc=40)
     naive_stats, pruned_stats = PairSearchStats(), PairSearchStats()
     list(find_concurrent_pairs(intervals, naive_stats))
-    list(find_concurrent_pairs_pruned(intervals, pruned_stats))
+    list(window_pairs(intervals, pruned_stats))
     assert pruned_stats.comparisons < naive_stats.comparisons / 3
     assert pruned_stats.concurrent_pairs == naive_stats.concurrent_pairs
 
@@ -104,10 +112,8 @@ def test_scan_windows_aggregates_match_naive(seed):
     naive_stats = PairSearchStats()
     naive_pairs = list(find_concurrent_pairs(intervals, naive_stats))
     stats = PairSearchStats()
-    pair_count, probe_work, windows = scan_windows(intervals, stats)
-    assert pair_count == naive_stats.concurrent_pairs
+    probe_work, windows = scan_epoch(intervals, stats)
     assert stats.concurrent_pairs == naive_stats.concurrent_pairs
-    assert stats.intervals == naive_stats.intervals
     assert probe_work == sum(overlap_work(a, b) for a, b in naive_pairs)
     # Windows expand to the identical pair sequence, order included.
     assert [((a.pid, a.index), (b.pid, b.index))
@@ -162,5 +168,5 @@ def test_pruned_on_fully_concurrent_epoch():
             vc[pid] = idx
             intervals.append(Interval(pid, idx, VectorClock(vc), 0, 16))
     stats = PairSearchStats()
-    pairs = pair_keys(find_concurrent_pairs_pruned(intervals, stats))
+    pairs = pair_keys(window_pairs(intervals, stats))
     assert len(pairs) == 3 * 9  # 3 proc pairs x 3 x 3

@@ -15,7 +15,12 @@ overhead breakdown, so sharding-off artifacts stay byte-identical.
 import pytest
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app
+from repro.core.detector import RaceDetector
 from repro.dsm.config import DsmConfig
+from repro.net.message import WireSizer
+from repro.net.transport import Transport
+from repro.perf import capture_epochs
+from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import OVERHEAD_CATEGORIES, CostCategory
 
 ALL_APPS = sorted(APPLICATIONS) + sorted(EXTRAS)
@@ -65,14 +70,42 @@ def test_sharded_matches_centralized_16_procs(app):
     assert sharded.sharding_stats.shards_dispatched > 0
 
 
-def test_sharded_matches_reference_engine():
-    """Transitivity check against the paper's literal O(i²p²) engine:
-    sharded + fast path ≡ centralized reference."""
-    spec = get_app("tsp")
-    sharded = spec.run(nprocs=8, sharded_detection=True,
-                       detector_fast_path=True)
-    ref = spec.run(nprocs=8, detector_fast_path=False)
-    assert_identical_reports(sharded, ref)
+def test_sharded_pipeline_matches_run_epoch():
+    """Detector level, on tsp's captured epochs: planning every epoch
+    over several owners, computing each shard on its own clock and
+    committing the merged items leaves the detector in exactly the state
+    ``run_epoch`` (the one-owner plan) leaves it — same reports, same
+    dedup state, same statistics."""
+    run, epochs = capture_epochs(get_app("tsp"), nprocs=8)
+    cfg = run.config
+    cm = cfg.cost_model
+
+    def fresh():
+        return RaceDetector(
+            cfg.page_size_words, cm,
+            WireSizer(cfg.nprocs, cfg.page_size_words), Transport(cm),
+            symbol_for=lambda addr: f"word+{addr}", master_pid=0)
+
+    central, sharded = fresh(), fresh()
+    owners = list(range(cfg.nprocs))
+    clocks = {pid: VirtualClock() for pid in owners}
+    partitioned = 0
+    for ep in epochs:
+        central.run_epoch(ep.intervals, ep.epoch, VirtualClock())
+        plan = sharded.plan_shards(ep.intervals, owners)
+        if plan is None:
+            sharded.run_epoch(ep.intervals, ep.epoch, clocks[0])
+            continue
+        partitioned += 1
+        results = [sharded.compute_shard(plan.shards[pid], plan, ep.epoch,
+                                         clocks[pid]) for pid in owners]
+        items = []
+        for res in results:
+            items = sharded.merge_shard_items(items, res.items)
+        sharded.commit_sharded(plan, results, items, ep.epoch, clocks[0])
+    assert partitioned > 0
+    assert central.races
+    assert central.serialize_state() == sharded.serialize_state()
 
 
 def test_sharded_matches_centralized_consolidation():

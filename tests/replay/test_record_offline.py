@@ -6,8 +6,8 @@ order, sync-message delivery order) to a hash-framed trace, and a replay
 run steered by that trace with the full detector on produces race
 reports **byte-identical** to a monolithic online run of the same seed
 and configuration — for every registered application, at 4 and 16
-processes, under lossy networks, and with any detection engine (fast
-path, sharded, reference).  The trace framing detects torn or corrupt
+processes, under lossy networks, and with any detection-side setting
+(sharded, coarse filter off).  The trace framing detects torn or corrupt
 files loudly, the config digest in the header refuses traces recorded
 under a different execution, and the config layer refuses compositions
 the mode cannot honor (crash injection, ``--resume-from``).
@@ -108,11 +108,15 @@ def test_replay_with_sharded_detector(tmp_path):
     assert replayed.sharding_stats.epochs_sharded > 0
 
 
-def test_replay_with_reference_detector(tmp_path):
+def test_replay_with_coarse_filter_off(tmp_path):
+    """A detection-side knob the digest ignores: a trace recorded once
+    replays under the unfiltered detector and matches the unfiltered
+    online run."""
     _, replayed, _ = record_and_replay(
-        "tsp", tmp_path,
-        replay_overrides=dict(detector_fast_path=False))
-    assert_identical_reports(replayed, online_run("tsp", nprocs=4))
+        "tsp", tmp_path, replay_overrides=dict(coarse_filter=False))
+    assert_identical_reports(
+        replayed, online_run("tsp", nprocs=4, coarse_filter=False))
+    assert replayed.detector_stats.granule_checks == 0
 
 
 def test_replay_first_races_only(tmp_path):
@@ -286,7 +290,7 @@ def test_digest_ignores_detection_side_fields():
     rec = DsmConfig(mode="record", **base)
     rep = DsmConfig(mode="detect-offline", detection=True,
                     sharded_detection=True, first_races_only=True,
-                    detector_fast_path=False, **base)
+                    coarse_filter=False, **base)
     assert execution_digest(rec, "sor") == execution_digest(rep, "sor")
     # ... while execution-shaping fields do change it:
     other = DsmConfig(mode="record", nprocs=4, seed=1,
