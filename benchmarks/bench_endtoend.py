@@ -1,15 +1,16 @@
 #!/usr/bin/env python
-"""End-to-end wall-clock benchmark of the access fast path.
+"""End-to-end wall-clock benchmark: production Env vs per-word oracle.
 
 Times complete ``CVM.run`` executions — instrumentation, coherence
 protocol, network accounting, epoch detection, everything — for every
-registered application under both Env engines: the per-word scalar
-reference chain (``access_fast_path=False``, the paper's literal
-one-call-per-access instrumentation) and the default batched engine
-(fused clock charges, range-native interval recording, big-int bitmap
-fills).  Each pair is checked for full observable equivalence in the
-same breath: race reports, detector statistics, access counters, traffic
-totals, per-process virtual-time ledgers, and the final runtime.
+registered application on the production ``Env`` (fused clock charges,
+range-native interval recording, big-int bitmap fills) and on
+``repro.perf.OracleCVM``, whose processes run the paper's literal
+one-analysis-call-per-word chain.  Each pair is checked for full
+observable equivalence in the same breath: race reports, detector
+statistics, access counters, traffic totals, per-process virtual-time
+ledgers, and the final runtime.  In the JSON report ``scalar`` is the
+oracle side and ``batched`` the production side.
 
 Results go to ``BENCH_endtoend.json`` so the repository carries an
 end-to-end perf trajectory across PRs, alongside the detection-engine
@@ -21,8 +22,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_endtoend.py --quick   # CI smoke
 
 Exit status is non-zero if any engine pair disagrees, or if the stress
-workload's speedup falls below the target (``--min-speedup``, default
-2x; the acceptance bar for the batched engine).
+workload's speedup over the oracle falls below the target
+(``--min-speedup``, default 2x).
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.apps.registry import APPLICATIONS, EXTRAS, get_app  # noqa: E402
 from repro.apps.sor import SorParams  # noqa: E402
-from repro.perf.timing import timeit_best  # noqa: E402
+from repro.perf import oracle_run, timeit_best  # noqa: E402
 
 #: The stress row: SOR scaled to twice the default grid at 16 processes.
 #: Range-dominated (row-wise sweeps over page-aligned arrays), so the
-#: per-word scalar chain pays its full per-access toll — the workload the
-#: batched engine exists for.
+#: per-word oracle chain pays its full per-access toll — the workload the
+#: production engine's range path exists for.
 STRESS_PARAMS = SorParams(rows=96, cols=64, iterations=8)
 
 
@@ -87,15 +88,17 @@ def bench_workload(app: str, nprocs: int, params, stress: bool,
     kept: dict = {}
 
     def run_with(fast: bool):
-        res = spec.run(nprocs=nprocs, params=params,
-                       access_fast_path=fast)
+        if fast:
+            res = spec.run(nprocs=nprocs, params=params)
+        else:
+            res = oracle_run(spec, nprocs=nprocs, params=params)
         kept[fast] = res
         return res
 
     ref = timeit_best(lambda: run_with(False), repeats=repeats,
-                      label=f"{app}@{nprocs}:scalar")
+                      label=f"{app}@{nprocs}:oracle")
     fast = timeit_best(lambda: run_with(True), repeats=repeats,
-                       label=f"{app}@{nprocs}:batched")
+                       label=f"{app}@{nprocs}:production")
     equivalent = _fingerprint(kept[False]) == _fingerprint(kept[True])
     res = kept[True]
     return {
@@ -121,8 +124,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="wall-clock samples per engine (default 3, "
                              "quick 2)")
     parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required batched-engine speedup on the "
-                             "stress workload (default 2.0)")
+                        help="required production speedup over the "
+                             "oracle on the stress workload (default 2.0)")
     parser.add_argument("--output", default="BENCH_endtoend.json",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)
@@ -134,8 +137,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows.append(row)
         print(f"{app}@{nprocs}{' [stress]' if stress else '':9s} "
               f"accesses={row['shared_accesses']:7d}  "
-              f"scalar {row['scalar']['best_s'] * 1e3:8.1f} ms  "
-              f"batched {row['batched']['best_s'] * 1e3:8.1f} ms  "
+              f"oracle {row['scalar']['best_s'] * 1e3:8.1f} ms  "
+              f"production {row['batched']['best_s'] * 1e3:8.1f} ms  "
               f"speedup {row['speedup']:5.2f}x  "
               f"{'OK' if row['equivalent'] else 'MISMATCH'}")
 

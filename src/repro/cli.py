@@ -35,11 +35,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--first-races-only", action="store_true")
     p.add_argument("--paper-input", action="store_true",
                    help="use the paper's Table 1 input set (slow)")
-    p.add_argument("--reference-access-path", action="store_true",
-                   help="run the paper's literal one-analysis-call-per-"
-                        "word access instrumentation instead of the "
-                        "batched Env engine (identical output, slower "
-                        "wall-clock; see docs/performance.md)")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-datagram drop probability of the simulated "
                         "network (default 0: reliable, byte-identical to "
@@ -173,9 +168,7 @@ def _fault_overrides(args) -> dict:
                 resume_from=getattr(args, "resume_from", None),
                 mode=getattr(args, "mode", "online"),
                 trace_file=getattr(args, "trace_file", None),
-                deadline_seconds=getattr(args, "deadline", None),
-                access_fast_path=not getattr(
-                    args, "reference_access_path", False))
+                deadline_seconds=getattr(args, "deadline", None))
 
 
 def cmd_apps(_args) -> int:

@@ -33,16 +33,6 @@ class DsmConfig:
             bitmaps, no barrier analysis) — the baseline for slowdowns.
         first_races_only: Report only races from the earliest barrier
             epoch that has any (§6.4 extension).
-        access_fast_path: Use the batched access execution engine in
-            ``Env`` (default): clock advances fused into one pre-summed
-            charge per access, per-configuration bound methods chosen at
-            ``Env.__init__``, and ranges recorded natively down to
-            ``Bitmap.set_range``.  Virtual-time charges are arithmetically
-            identical to the reference engine, so every ledger, statistic
-            and artifact is byte-identical — only real (Python) wall-clock
-            time differs.  Off = the per-word scalar chain (the paper's
-            one-call-per-access instrumentation), kept for equivalence
-            tests and as the old side of ``bench_endtoend.py``.
         diff_write_detection: With the multi-writer protocol, derive write
             bitmaps from diffs instead of instrumenting stores (§6.5
             extension; same-value overwrites become invisible).
@@ -206,7 +196,6 @@ class DsmConfig:
     protocol: str = "sw"
     detection: bool = True
     first_races_only: bool = False
-    access_fast_path: bool = True
     diff_write_detection: bool = False
     inline_instrumentation: bool = False
     consolidation_interval: int = 0

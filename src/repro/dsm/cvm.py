@@ -1365,7 +1365,15 @@ class CVM:
 class Env:
     """Per-process application handle: the DSM API plus the analysis
     routine of the paper's instrumentation (access classification, bitmap
-    maintenance, cost accounting)."""
+    maintenance, cost accounting).
+
+    Every configuration runs the same four access methods.  A shared
+    access is charged in one fused ``advance_split`` (see
+    ``VirtualClock.advance_split`` for why that is bit-identical to the
+    paper's per-word chain of advances), ranges are recorded page by page
+    straight into the interval bitmaps, and every call ends in
+    :meth:`_after_access`.  ``repro.perf.access_oracle`` keeps the literal
+    per-word chain as the test oracle."""
 
     def __init__(self, system: CVM, pid: int):
         self.system = system
@@ -1376,37 +1384,25 @@ class Env:
         self._clock = self._node.clock
         self._cm = system.config.cost_model
         self._psz = system.config.page_size_words
+        self._segwords = system.config.segment_words
+        self._protocol = system.protocol
         self._accesses_since_yield = 0
-        # Pre-resolved fast-path facts.
         self._detect = system.config.detection
-        self._diff_writes = system.config.diff_write_detection
+        #: §6.5 diff mode dispenses with store instrumentation entirely.
+        self._record_writes = (system.config.detection
+                               and not system.config.diff_write_detection)
         self._proc_call = (0.0 if system.config.inline_instrumentation
                            else self._cm.proc_call)
-        # Tracing and pc-watching are both fixed before run() (the config
-        # is frozen; replay attribution installs its watch on the system
-        # before starting the second run), so _after_access can skip the
-        # per-word dict lookups entirely on the common path.
+        # Tracing, pc-watching and crash injection are all fixed before
+        # run() (the config is frozen; replay attribution installs its
+        # watch on the system before starting the second run), so the
+        # common path tests one flag instead of three.
         self._trace = system.config.track_access_trace
         self._watching = system.pc_watch is not None
-        #: Crash injector (None in the default, crash-free configuration —
-        #: the per-access hook then costs one attribute test).
         self._crasher = system._crasher
-        # --- access-engine dispatch (chosen once per configuration) ----- #
-        # Three engines share identical virtual-time arithmetic (every
-        # ledger, bitmap, counter and message is byte-identical across
-        # them; see docs/performance.md):
-        #  * fast (default): fused clock charges via advance_split, bound
-        #    protocol/scheduler attributes, single-page ranges without
-        #    chunk materialization;
-        #  * scalar (access_fast_path=False): the paper's literal per-word
-        #    instrumentation chain, one analysis call per word — the
-        #    reference engine and the old side of bench_endtoend.py;
-        #  * general: tracing, pc-watching or crash injection is active —
-        #    the chunked class-level methods below, which evaluate those
-        #    hooks exactly where the crash/trace semantics require.
-        self._segwords = system.config.segment_words
-        self._ensure_readable = system.protocol.ensure_readable
-        self._ensure_writable = system.protocol.ensure_writable
+        self._hooked = (self._trace or self._watching
+                        or self._crasher is not None)
+        # The fused charge of one instrumented shared access.
         cm = self._cm
         if self._proc_call:
             self._instr_parts: Tuple[Tuple[CostCategory, float], ...] = (
@@ -1421,20 +1417,6 @@ class Env:
         for _cat, cycles in self._instr_parts:
             total += cycles
         self._instr_total = total
-        general = (self._trace or self._watching
-                   or self._crasher is not None)
-        if not general:
-            if system.config.access_fast_path:
-                self.load = self._load_fast_detect if self._detect \
-                    else self._load_fast_plain
-                self.store = self._store_fast_detect \
-                    if self._detect and not self._diff_writes \
-                    else self._store_fast_plain
-                self.load_range = self._load_range_fast
-                self.store_range = self._store_range_fast
-            else:
-                self.load_range = self._load_range_scalar
-                self.store_range = self._store_range_scalar
 
     # ------------------------------------------------------------------ #
     # Allocation.
@@ -1456,166 +1438,50 @@ class Env:
         return self.system.segment.symbol_for(addr)
 
     # ------------------------------------------------------------------ #
-    # Shared accesses (single word).
+    # Shared accesses.
     # ------------------------------------------------------------------ #
     def load(self, addr: int, site: Optional[str] = None) -> Any:
         node = self._node
-        if not 0 <= addr < self.config.segment_words:
+        if not 0 <= addr < self._segwords:
             raise SegmentationFault(self.pid, addr)
-        page, off = addr // self._psz, addr % self._psz
-        copy = self.system.protocol.ensure_readable(node, page)
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
+        page, off = divmod(addr, self._psz)
+        copy = self._protocol.ensure_readable(node, page)
         if self._detect:
             node.shared_instr_calls += 1
-            if self._proc_call:
-                self._clock.advance(self._proc_call, CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_shared,
-                                CostCategory.ACCESS_CHECK)
+            self._clock.advance_split(self._instr_total, self._instr_parts)
             node.current.record_read(page, off)
+        else:
+            self._clock.advance(self._cm.plain_access, CostCategory.BASE)
         self._after_access(addr, 1, False, site)
         return copy.data[off]
 
     def store(self, addr: int, value: Any, site: Optional[str] = None) -> None:
         node = self._node
-        if not 0 <= addr < self.config.segment_words:
+        if not 0 <= addr < self._segwords:
             raise SegmentationFault(self.pid, addr)
-        page, off = addr // self._psz, addr % self._psz
-        copy = self.system.protocol.ensure_writable(node, page, off)
+        page, off = divmod(addr, self._psz)
+        copy = self._protocol.ensure_writable(node, page, off)
         copy.data[off] = value
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
-        if self._detect and not self._diff_writes:
-            # §6.5 diff mode dispenses with store instrumentation entirely.
+        if self._record_writes:
             node.shared_instr_calls += 1
-            if self._proc_call:
-                self._clock.advance(self._proc_call, CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_shared,
-                                CostCategory.ACCESS_CHECK)
+            self._clock.advance_split(self._instr_total, self._instr_parts)
             node.current.record_write(page, off)
+        else:
+            self._clock.advance(self._cm.plain_access, CostCategory.BASE)
         self._after_access(addr, 1, True, site)
 
-    # ------------------------------------------------------------------ #
-    # Shared accesses (contiguous ranges — the vectorized fast path).
-    # ------------------------------------------------------------------ #
     def load_range(self, addr: int, count: int,
                    site: Optional[str] = None) -> List[Any]:
         if count <= 0:
             return []
-        self.system.segment.check_range(addr, count)
-        out: List[Any] = []
-        node = self._node
-        for page, off, n in self._page_chunks(addr, count):
-            copy = self.system.protocol.ensure_readable(node, page)
-            out.extend(copy.data[off:off + n])
-            if self._detect:
-                node.current.record_read(page, off, n)
-        self._charge_bulk(count, instrumented=self._detect)
-        self._after_access(addr, count, False, site)
-        return out
-
-    def store_range(self, addr: int, values: Sequence[Any],
-                    site: Optional[str] = None) -> None:
-        count = len(values)
-        if count == 0:
-            return
-        self.system.segment.check_range(addr, count)
-        node = self._node
-        taken = 0
-        for page, off, n in self._page_chunks(addr, count):
-            copy = self.system.protocol.ensure_writable(node, page, off)
-            copy.data[off:off + n] = values[taken:taken + n]
-            taken += n
-            if self._detect and not self._diff_writes:
-                node.current.record_write(page, off, n)
-        self._charge_bulk(count,
-                          instrumented=self._detect and not self._diff_writes)
-        self._after_access(addr, count, True, site)
-
-    # ------------------------------------------------------------------ #
-    # Fast engine (default; no trace/watch/crash hooks active): fused
-    # charges, bound attributes, no chunk materialization for the common
-    # single-page range.  Arithmetic is identical to the scalar engine —
-    # see VirtualClock.advance_split for the exactness argument.
-    # ------------------------------------------------------------------ #
-    def _load_fast_detect(self, addr: int,
-                          site: Optional[str] = None) -> Any:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_readable(node, page)
-        node.shared_instr_calls += 1
-        self._clock.advance_split(self._instr_total, self._instr_parts)
-        node.current.record_read(page, off)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-        return copy.data[off]
-
-    def _load_fast_plain(self, addr: int,
-                         site: Optional[str] = None) -> Any:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_readable(node, page)
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-        return copy.data[off]
-
-    def _store_fast_detect(self, addr: int, value: Any,
-                           site: Optional[str] = None) -> None:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_writable(node, page, off)
-        copy.data[off] = value
-        node.shared_instr_calls += 1
-        self._clock.advance_split(self._instr_total, self._instr_parts)
-        node.current.record_write(page, off)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-
-    def _store_fast_plain(self, addr: int, value: Any,
-                          site: Optional[str] = None) -> None:
-        node = self._node
-        if not 0 <= addr < self._segwords:
-            raise SegmentationFault(self.pid, addr)
-        page, off = divmod(addr, self._psz)
-        copy = self._ensure_writable(node, page, off)
-        copy.data[off] = value
-        self._clock.advance(self._cm.plain_access, CostCategory.BASE)
-        n = self._accesses_since_yield + 1
-        if n >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-        else:
-            self._accesses_since_yield = n
-
-    def _load_range_fast(self, addr: int, count: int,
-                         site: Optional[str] = None) -> List[Any]:
-        if count <= 0:
-            return []
-        self.system.segment.check_range(addr, count)
+        self.system.segment.check_range(addr, count, self.pid)
         node = self._node
         psz = self._psz
         page, off = divmod(addr, psz)
         n = psz - off
         detect = self._detect
         if count <= n:  # common case: the whole range on one page
-            copy = self._ensure_readable(node, page)
+            copy = self._protocol.ensure_readable(node, page)
             out = copy.data[off:off + count]
             if detect:
                 node.current.record_read(page, off, count)
@@ -1623,7 +1489,7 @@ class Env:
             out = []
             remaining = count
             while True:
-                copy = self._ensure_readable(node, page)
+                copy = self._protocol.ensure_readable(node, page)
                 take = n if n < remaining else remaining
                 out += copy.data[off:off + take]
                 if detect:
@@ -1634,31 +1500,23 @@ class Env:
                 page += 1
                 off = 0
                 n = psz
-        if detect:
-            node.shared_instr_calls += count
-            self._charge_bulk_fused(count)
-        else:
-            self._clock.advance(self._cm.plain_access * count,
-                                CostCategory.BASE)
-        self._accesses_since_yield += count
-        if self._accesses_since_yield >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
+        self._charge_range(count, detect)
+        self._after_access(addr, count, False, site)
         return out
 
-    def _store_range_fast(self, addr: int, values: Sequence[Any],
-                          site: Optional[str] = None) -> None:
+    def store_range(self, addr: int, values: Sequence[Any],
+                    site: Optional[str] = None) -> None:
         count = len(values)
         if count == 0:
             return
-        self.system.segment.check_range(addr, count)
+        self.system.segment.check_range(addr, count, self.pid)
         node = self._node
         psz = self._psz
         page, off = divmod(addr, psz)
         n = psz - off
-        record = self._detect and not self._diff_writes
+        record = self._record_writes
         if count <= n:  # common case: no slicing of ``values`` at all
-            copy = self._ensure_writable(node, page, off)
+            copy = self._protocol.ensure_writable(node, page, off)
             copy.data[off:off + count] = values
             if record:
                 node.current.record_write(page, off, count)
@@ -1666,7 +1524,7 @@ class Env:
             taken = 0
             remaining = count
             while True:
-                copy = self._ensure_writable(node, page, off)
+                copy = self._protocol.ensure_writable(node, page, off)
                 take = n if n < remaining else remaining
                 copy.data[off:off + take] = values[taken:taken + take]
                 if record:
@@ -1678,112 +1536,19 @@ class Env:
                 page += 1
                 off = 0
                 n = psz
-        if record:
-            node.shared_instr_calls += count
-            self._charge_bulk_fused(count)
-        else:
-            self._clock.advance(self._cm.plain_access * count,
-                                CostCategory.BASE)
-        self._accesses_since_yield += count
-        if self._accesses_since_yield >= YIELD_EVERY:
-            self._accesses_since_yield = 0
-            self.system.scheduler.yield_control(self.pid)
-
-    # ------------------------------------------------------------------ #
-    # Scalar reference engine (access_fast_path=False): the paper's
-    # literal instrumentation, one full analysis chain per word.  Kept for
-    # the equivalence suite and as the old side of bench_endtoend.py.
-    # ------------------------------------------------------------------ #
-    def _load_range_scalar(self, addr: int, count: int,
-                           site: Optional[str] = None) -> List[Any]:
-        if count <= 0:
-            return []
-        self.system.segment.check_range(addr, count)
-        node = self._node
-        clock = self._clock
-        cm = self._cm
-        detect = self._detect
-        proc_call = self._proc_call
-        ensure = self._ensure_readable
-        psz = self._psz
-        out: List[Any] = []
-        for a in range(addr, addr + count):
-            page, off = a // psz, a % psz
-            copy = ensure(node, page)
-            clock.advance(cm.plain_access, CostCategory.BASE)
-            if detect:
-                node.shared_instr_calls += 1
-                if proc_call:
-                    clock.advance(proc_call, CostCategory.PROC_CALL)
-                clock.advance(cm.access_check_shared,
-                              CostCategory.ACCESS_CHECK)
-                node.current.record_read(page, off)
-            out.append(copy.data[off])
-        self._after_access(addr, count, False, site)
-        return out
-
-    def _store_range_scalar(self, addr: int, values: Sequence[Any],
-                            site: Optional[str] = None) -> None:
-        count = len(values)
-        if count == 0:
-            return
-        self.system.segment.check_range(addr, count)
-        node = self._node
-        clock = self._clock
-        cm = self._cm
-        record = self._detect and not self._diff_writes
-        proc_call = self._proc_call
-        ensure = self._ensure_writable
-        psz = self._psz
-        for i, a in enumerate(range(addr, addr + count)):
-            page, off = a // psz, a % psz
-            copy = ensure(node, page, off)
-            copy.data[off] = values[i]
-            clock.advance(cm.plain_access, CostCategory.BASE)
-            if record:
-                node.shared_instr_calls += 1
-                if proc_call:
-                    clock.advance(proc_call, CostCategory.PROC_CALL)
-                clock.advance(cm.access_check_shared,
-                              CostCategory.ACCESS_CHECK)
-                node.current.record_write(page, off)
+        self._charge_range(count, record)
         self._after_access(addr, count, True, site)
 
-    def _page_chunks(self, addr: int, count: int) -> List[Tuple[int, int, int]]:
-        """Split [addr, addr+count) into (page, offset, length) chunks.
-        The common single-page case is computed without looping."""
-        psz = self._psz
-        page, off = addr // psz, addr % psz
-        n = psz - off
-        if count <= n:
-            return [(page, off, count)]
-        chunks = [(page, off, n)]
-        count -= n
-        page += 1
-        while count >= psz:
-            chunks.append((page, 0, psz))
-            page += 1
-            count -= psz
-        if count:
-            chunks.append((page, 0, count))
-        return chunks
-
-    def _charge_bulk(self, count: int, instrumented: bool) -> None:
-        self._clock.advance(self._cm.plain_access * count, CostCategory.BASE)
-        if instrumented:
-            self._node.shared_instr_calls += count
-            if self._proc_call:
-                self._clock.advance(self._proc_call * count,
-                                    CostCategory.PROC_CALL)
-            self._clock.advance(self._cm.access_check_shared * count,
-                                CostCategory.ACCESS_CHECK)
-
-    def _charge_bulk_fused(self, count: int) -> None:
-        """Bulk charge for ``count`` instrumented accesses as one fused
-        clock advance; the per-category parts are the same products
-        ``_charge_bulk`` computes, so ledgers come out bit-identical."""
+    def _charge_range(self, count: int, instrumented: bool) -> None:
+        """Charge ``count`` shared accesses in one clock advance; the
+        per-category parts are the products the per-word chain sums, so
+        ledgers come out bit-identical."""
         cm = self._cm
         base = cm.plain_access * count
+        if not instrumented:
+            self._clock.advance(base, CostCategory.BASE)
+            return
+        self._node.shared_instr_calls += count
         acs = cm.access_check_shared * count
         if self._proc_call:
             pc = self._proc_call * count
@@ -1798,7 +1563,11 @@ class Env:
 
     def _after_access(self, addr: int, count: int, is_write: bool,
                       site: Optional[str]) -> None:
-        if self._trace or self._watching:
+        """The tail of every shared access call: the trace, pc-watch and
+        crash hooks when any is configured, then the periodic yield.  The
+        hooks run before the yield so crash times and trace clocks are
+        those of the access itself."""
+        if self._hooked:
             system = self.system
             if self._trace:
                 system.access_trace.append(TraceEvent(
@@ -1809,12 +1578,14 @@ class Env:
                     if hits is not None:
                         hits.append((self.pid, self._node.vc[self.pid],
                                      site or "<unknown site>", is_write))
-        if self._crasher is not None:
-            self.system._maybe_crash(self.pid, "access")
-        self._accesses_since_yield += count
-        if self._accesses_since_yield >= YIELD_EVERY:
+            if self._crasher is not None:
+                system._maybe_crash(self.pid, "access")
+        n = self._accesses_since_yield + count
+        if n >= YIELD_EVERY:
             self._accesses_since_yield = 0
             self.system.scheduler.yield_control(self.pid)
+        else:
+            self._accesses_since_yield = n
 
     # ------------------------------------------------------------------ #
     # Private work (instrumented-but-private accesses, pure compute).

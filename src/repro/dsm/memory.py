@@ -112,22 +112,23 @@ class SharedSegment:
     # ------------------------------------------------------------------ #
     # Lookup.
     # ------------------------------------------------------------------ #
-    def block_of(self, addr: int) -> Allocation:
+    def block_of(self, addr: int, pid: int = -1) -> Allocation:
         """The allocation containing ``addr``; raises
-        :class:`SegmentationFault` (pid -1, resolved by callers) if none."""
+        :class:`SegmentationFault` naming process ``pid`` if none."""
         pos = bisect.bisect_right(self._alloc_starts, addr) - 1
         if pos >= 0:
             alloc = self._allocs[pos]
             if alloc.addr <= addr < alloc.end:
                 return alloc
-        raise SegmentationFault(-1, addr)
+        raise SegmentationFault(pid, addr)
 
-    def check_range(self, addr: int, nwords: int) -> None:
-        """Validate that [addr, addr+nwords) lies inside one allocation."""
-        alloc = self.block_of(addr)
+    def check_range(self, addr: int, nwords: int, pid: int = -1) -> None:
+        """Validate that [addr, addr+nwords) lies inside one allocation;
+        a fault names the accessing process ``pid``."""
+        alloc = self.block_of(addr, pid)
         if addr + nwords > alloc.end:
             raise SegmentationFault(
-                -1, addr + nwords - 1,
+                pid, addr + nwords - 1,
                 f"range runs off the end of {alloc.name!r}")
 
     def symbol_for(self, addr: int) -> str:

@@ -7,8 +7,8 @@ collisions, unsynchronized visit counters, bucket-chain splices), and
 ``with_sync=True`` — the identical workload under its lock — must
 report zero.  On top, the detection axes the registry sweeps for the
 scalar apps are pinned here explicitly for the bridge-backed ones:
-scalar vs batched engine, centralized vs sharded detection, coarse
-filter off vs on all produce byte-identical reports.
+production Env vs the per-word access oracle, centralized vs sharded
+detection, coarse filter off vs on all produce byte-identical reports.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.apps.registry import EXTRAS, get_app
 from repro.apps.wsdeque import WsDequeParams, wsdeque
 from repro.core.report import RaceKind
 from repro.dsm.cvm import CVM
+from repro.perf import oracle_run
 
 DSL_APPS = ("wsdeque", "bfs", "hashtab")
 SYNCED = {
@@ -91,8 +92,9 @@ def test_runs_are_deterministic(app):
 
 @pytest.mark.parametrize("app", DSL_APPS)
 def test_scalar_engine_matches_batched(app):
-    fast = run(app, nprocs=4, access_fast_path=True)
-    ref = run(app, nprocs=4, access_fast_path=False)
+    """The production Env against the per-word oracle."""
+    fast = run(app, nprocs=4)
+    ref = oracle_run(get_app(app), nprocs=4)
     assert _keyed(fast) == _keyed(ref)
     assert fast.runtime_cycles == ref.runtime_cycles
 

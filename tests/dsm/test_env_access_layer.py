@@ -2,8 +2,11 @@
 
 import pytest
 
-from tests.helpers import run_app, run_app_with_system
+from tests.helpers import run_app, run_app_with_system, small_config
 
+from repro.dsm.cvm import CVM
+from repro.errors import ProcessFailure, SegmentationFault
+from repro.perf import OracleCVM
 from repro.sim.costmodel import CostCategory
 
 
@@ -132,43 +135,38 @@ def test_compute_charges_base_only():
 
 
 # ---------------------------------------------------------------------- #
-# _page_chunks and the range engines' page-splitting edge cases.
+# Page-splitting edge cases of the range path, against the per-word oracle.
 # ---------------------------------------------------------------------- #
-def _chunks_reference(addr, count, psz):
-    out = []
-    for a in range(addr, addr + count):
-        page, off = divmod(a, psz)
-        if out and out[-1][0] == page:
-            page0, off0, length = out[-1]
-            out[-1] = (page0, off0, length + 1)
-        else:
-            out.append((page, off, 1))
-    return out
-
-
 @pytest.mark.parametrize("addr,count", [
     (0, 1), (0, 16), (5, 11), (5, 12), (15, 1), (15, 2),
     (0, 17), (0, 32), (0, 33), (7, 40), (16, 16), (31, 3),
+    (3, 13), (16, 1), (31, 1),
 ])
-def test_page_chunks_match_reference(addr, count):
+def test_range_roundtrip_matches_oracle(addr, count):
+    """P0 stores a range and reads it back while P1 reads it unordered:
+    P0 sees its own values, P1's read races on exactly the range's words,
+    and counters, races and results match the per-word oracle."""
+    values = list(range(100, 100 + count))
+
     def app(env):
-        return env._page_chunks(addr, count)
+        x = env.malloc(64, name="x", page_aligned=True)
+        env.barrier()
+        if env.pid == 0:
+            env.store_range(x + addr, values)
+        got = env.load_range(x + addr, count)
+        env.barrier()
+        return x, got
 
-    res = run_app(app, nprocs=1)
-    assert res.results[0] == _chunks_reference(addr, count, 16)
-
-
-def test_page_chunks_single_page_cases():
-    """The loop-free single-page case covers exact fits too."""
-    def app(env):
-        return [env._page_chunks(0, 16),    # exactly one full page
-                env._page_chunks(3, 13),    # to the page's last word
-                env._page_chunks(16, 1),    # first word of a later page
-                env._page_chunks(31, 1)]    # last word of a page
-
-    res = run_app(app, nprocs=1)
-    assert res.results[0] == [[(0, 0, 16)], [(0, 3, 13)],
-                              [(1, 0, 1)], [(1, 15, 1)]]
+    cfg = small_config(nprocs=2)
+    res = CVM(cfg).run(app)
+    ref = OracleCVM(cfg).run(app)
+    x, got = res.results[0]
+    assert got == values
+    assert res.results == ref.results
+    assert res.shared_instr_calls == ref.shared_instr_calls == 3 * count
+    raced = sorted({r.addr for r in res.races})
+    assert raced == list(range(x + addr, x + addr + count))
+    assert [r.key() for r in res.races] == [r.key() for r in ref.races]
 
 
 def test_store_range_exact_page_multiple_roundtrip():
@@ -215,27 +213,37 @@ def test_store_range_does_not_mutate_caller_values():
 
 
 def test_out_of_segment_range_faults_without_partial_write():
-    from repro.errors import ProcessFailure
+    """A range that runs off the segment or off its allocation faults,
+    and the fault names the accessing process."""
+    def off_segment_store(env):
+        env.store_range(env.system.segment.segment_words - 4, [1] * 8)
 
-    def app(env):
-        end = env.system.segment.segment_words
+    def off_allocation_load(env):
         x = env.malloc(8, name="x")
+        env.load_range(x + 4, 8)
+
+    def app(env, access):
+        env.malloc(8, name="x")
         env.barrier()
-        env.store_range(end - 4, [1] * 8)  # runs off the end
+        if env.pid == 1:
+            access(env)
+        env.barrier()
 
-    from repro.dsm.cvm import CVM
-    from repro.errors import SegmentationFault
-    from tests.helpers import small_config
-    system = CVM(small_config(nprocs=1))
-    with pytest.raises(ProcessFailure) as exc_info:
-        system.run(app)
-    assert isinstance(exc_info.value.__cause__, SegmentationFault)
+    for access in (off_segment_store, off_allocation_load):
+        system = CVM(small_config(nprocs=2))
+        with pytest.raises(ProcessFailure) as exc_info:
+            system.run(app, access)
+        fault = exc_info.value.__cause__
+        assert isinstance(fault, SegmentationFault)
+        assert fault.pid == 1
+        assert str(fault).startswith("P1: ")
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_range_engines_agree_on_straddling_contents(fast):
-    """Both engines place identical words for a multi-page store; the
-    racy overlap lands at the same addresses either way."""
+@pytest.mark.parametrize("oracle", [True, False])
+def test_range_engines_agree_on_straddling_contents(oracle):
+    """Overlapping multi-page range stores race exactly on the overlap,
+    on the production engine (oracle=False) and on the per-word oracle
+    (oracle=True) alike, and the two report the same races."""
     def app(env):
         x = env.malloc(40, name="x")
         env.barrier()
@@ -245,5 +253,8 @@ def test_range_engines_agree_on_straddling_contents(fast):
             env.store_range(x + 30, [5] * 8)                # words 30..37
         env.barrier()
 
-    res = run_app(app, nprocs=2, access_fast_path=fast)
+    engine, other = (OracleCVM, CVM) if oracle else (CVM, OracleCVM)
+    res = engine(small_config(nprocs=2)).run(app)
+    ref = other(small_config(nprocs=2)).run(app)
     assert sorted(r.addr for r in res.races) == [30, 31, 32, 33]
+    assert [r.key() for r in res.races] == [r.key() for r in ref.races]
